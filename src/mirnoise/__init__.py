@@ -37,6 +37,7 @@ from .susceptibility import (
     TruncationPolicy,
     displacement_noise_spectrum,
     effective_susceptibility,
+    effective_susceptibility_grid,
     mode_susceptibility,
     optical_mass_model,
     thermal_force_spectrum,
@@ -78,6 +79,7 @@ __all__ = [
     "displacement_noise_spectrum",
     "effective_mass_oracle",
     "effective_susceptibility",
+    "effective_susceptibility_grid",
     "fundamental_frequency",
     "mode_data",
     "mode_susceptibility",

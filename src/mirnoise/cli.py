@@ -4,7 +4,7 @@ Subcommands: geometry, chi0, spectrum, sweep, converge, compare.
 Flags may also be given through a flat ``key = value`` config file
 (# comments allowed); explicit command-line flags win over the file.
 
-Exit codes: 0 success, 2 invalid specification, 3 any unconverged output row.
+Exit codes: 0 success, 2 invalid specification, 3 any unconverged or cut-short result.
 """
 from __future__ import annotations
 
@@ -15,13 +15,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import BudgetExceededError, InfeasibleGeometryError
+from .errors import BudgetExceededError, QuadratureConvergenceError, RecurrenceOverflowError
 from .geometry import Material, solve_geometry
-from .overlap import BeamSpec, check_beam_on_mirror
+from .overlap import BeamSpec
 from .susceptibility import (
     TruncationPolicy,
-    displacement_noise_spectrum,
+    check_temperature,
     effective_susceptibility,
+    effective_susceptibility_grid,
+    spectrum_point,
 )
 from .sweeps import (
     DEFAULT_RANGES,
@@ -190,17 +192,18 @@ def _cmd_spectrum(args) -> int:
     settings = _resolve(args)
     geometry, beam, policy = _setup(settings)
     _warn_paraxial(geometry)
-    if not 0 < args.omega_min < args.omega_max:
-        raise ValueError("need 0 < omega-min < omega-max")
-    omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
-    chi_zero = effective_susceptibility(geometry, beam, 0.0, settings["loss_angle"], policy)
+    if not 0 < args.omega_min < args.omega_max < np.inf:
+        raise ValueError("need 0 < omega-min < omega-max < inf")
+    check_temperature(settings["temperature"])
+    omegas = [float(omega) for omega in np.geomspace(args.omega_min, args.omega_max, args.points)]
+    chi_zero, *chis = effective_susceptibility_grid(
+        geometry, beam, [0.0, *omegas], settings["loss_angle"], policy
+    )
     rows = []
     all_converged = chi_zero.converged
-    for omega in omegas:
-        chi = effective_susceptibility(geometry, beam, float(omega), settings["loss_angle"], policy)
-        point = displacement_noise_spectrum(
-            geometry, beam, float(omega), settings["temperature"],
-            settings["loss_angle"], policy, chi_zero=chi_zero,
+    for omega, chi in zip(omegas, chis):
+        point = spectrum_point(
+            omega, settings["temperature"], settings["loss_angle"], chi.value, chi_zero.value
         )
         all_converged = all_converged and chi.converged
         rows.append(
@@ -350,9 +353,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InfeasibleGeometryError, OSError) as err:
+    except (ValueError, OSError) as err:  # InfeasibleGeometryError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (BudgetExceededError, RecurrenceOverflowError, QuadratureConvergenceError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

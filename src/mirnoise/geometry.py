@@ -33,10 +33,10 @@ class Material:
     loss_angle: float = 1e-6
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if not self.sound_velocity > 0:
-            raise ValueError(f"sound velocity must be positive, got {self.sound_velocity}")
+        if not 0 < self.density < math.inf:
+            raise ValueError(f"density must be finite and positive, got {self.density}")
+        if not 0 < self.sound_velocity < math.inf:
+            raise ValueError(f"sound velocity must be finite and positive, got {self.sound_velocity}")
         if not 0 < self.loss_angle < 1:
             raise ValueError(f"loss angle must lie in (0, 1), got {self.loss_angle}")
 
@@ -90,10 +90,10 @@ def solve_geometry(mass: float, thickness: float, material: Material) -> PlanoCo
     diameter.  Raises InfeasibleGeometryError when the thickness is too large
     for the requested mass (R <= h0, no sphere segment exists).
     """
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if not thickness > 0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
+    if not 0 < mass < math.inf:
+        raise ValueError(f"mass must be finite and positive, got {mass}")
+    if not 0 < thickness < math.inf:
+        raise ValueError(f"thickness must be finite and positive, got {thickness}")
     r = mass / (math.pi * material.density * thickness * thickness) + thickness / 3.0
     if r <= thickness:
         raise InfeasibleGeometryError(

@@ -33,10 +33,10 @@ class BeamSpec:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not self.waist > 0:
-            raise ValueError(f"beam waist must be positive, got {self.waist}")
-        if self.offset < 0:
-            raise ValueError(f"beam offset must be non-negative, got {self.offset}")
+        if not 0 < self.waist < math.inf:
+            raise ValueError(f"beam waist must be finite and positive, got {self.waist}")
+        if not 0 <= self.offset < math.inf:
+            raise ValueError(f"beam offset must be finite and non-negative, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -261,25 +261,97 @@ def overlap_offaxis(mode: ModeData, beam: BeamSpec, target_digits: int = 13) -> 
 # ---------------------------------------------------------------------------
 
 
-def normalized_hermite_beam_sequence(wn: float, w0: float, d: float, mmax: int) -> np.ndarray:
-    """1D overlaps of unit-norm Hermite-Gauss functions with the beam factor.
-
-    ih[m] = int hhat_m(X) e^{-g (X - delta)^2} dX with hhat_m normalized;
-    bounded coherent-state-like values, stable upward recurrence.
-    """
+def _beam_factor_start(wn: float, w0: float, d: float):
+    """(mu, beta, ih[0]) of normalized_hermite_beam_sequence."""
     g = wn * wn / (w0 * w0)
     a = 0.5 + g
     delta = math.sqrt(2.0) * d / wn
     mu = g * delta / a
     beta = 1.0 - 1.0 / a
     pref = math.exp(g * delta * delta * (g / a - 1.0)) * math.sqrt(math.pi / a)
-    ih = np.zeros(mmax + 1)
-    ih[0] = pref / math.pi**0.25
-    if mmax >= 1:
-        ih[1] = mu * math.sqrt(2.0) * ih[0]
-    for m in range(1, mmax):
-        ih[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * ih[m] - beta * math.sqrt(m / (m + 1.0)) * ih[m - 1]
-    return ih
+    return mu, beta, pref / math.pi**0.25
+
+
+def _continue_hermite(rows: np.ndarray, mu: np.ndarray, beta: np.ndarray, start: int) -> None:
+    """Fill rows[start:] (start >= 1), order m in row m and one family per column,
+    with the scalar recurrence applied elementwise: each column equals a one-family run."""
+    if start == 1 and len(rows) > 1:
+        rows[1] = mu * math.sqrt(2.0) * rows[0]
+        start = 2
+    for m in range(start - 1, len(rows) - 1):
+        rows[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * rows[m] - beta * math.sqrt(m / (m + 1.0)) * rows[m - 1]
+
+
+def normalized_hermite_beam_sequence(wn: float, w0: float, d: float, mmax: int) -> np.ndarray:
+    """1D overlaps of unit-norm Hermite-Gauss functions with the beam factor.
+
+    ih[m] = int hhat_m(X) e^{-g (X - delta)^2} dX with hhat_m normalized;
+    bounded coherent-state-like values, stable upward recurrence.
+    """
+    mu, beta, ih0 = _beam_factor_start(wn, w0, d)
+    rows = np.full((mmax + 1, 1), ih0)
+    _continue_hermite(rows, np.array([mu]), np.array([beta]), 1)
+    return rows[:, 0]
+
+
+class ShellTraceTable:
+    """shell_overlap_sq_over_mass for a range of families, one geometry and beam.
+
+    The offset (x) factors of all families still in play advance together and
+    grow by continuing from their last two orders, so growth never changes
+    earlier values.  Families are visited in ascending n; lower families'
+    rows are dropped at the next growth.  No state outlives the object.
+    """
+
+    def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
+        self.geometry = geometry
+        self.beam = beam
+        self._first = families.start  # family of column 0
+        mu, beta, ih0 = zip(*(
+            _beam_factor_start(math.sqrt(acoustic_waist_sq(geometry, n)), beam.waist, beam.offset)
+            for n in families
+        ))
+        self._mu, self._beta, self._rows = np.array(mu), np.array(beta), np.array([ih0])
+        self._family, self._traces = None, {}  # traces of one family, by max_shell
+
+    def beam_factor(self, n: int, mmax: int) -> np.ndarray:
+        """normalized_hermite_beam_sequence(w_n, w0, d, mmax) of family n."""
+        col = n - self._first
+        if col < 0:
+            raise ValueError(f"family {n} was already dropped (table starts at {self._first})")
+        if mmax >= len(self._rows):
+            rows = np.empty((mmax + 1, self._rows.shape[1] - col))
+            rows[: len(self._rows)] = self._rows[:, col:]
+            self._mu, self._beta = self._mu[col:], self._beta[col:]
+            _continue_hermite(rows, self._mu, self._beta, len(self._rows))
+            self._rows, self._first, col = rows, n, 0
+        return self._rows[: mmax + 1, col]
+
+    def traces(self, n: int, max_shell: int) -> np.ndarray:
+        """Shell traces of family n for s = 0..max_shell (kg^-1), read-only."""
+        if n != self._family:
+            self._family, self._traces = n, {}
+        if max_shell not in self._traces:
+            wn2 = acoustic_waist_sq(self.geometry, n)
+            _, beta, jh0 = _beam_factor_start(math.sqrt(wn2), self.beam.waist, 0.0)
+            # centered y-factor: odd orders vanish and the recurrence multiplies
+            # each even order by -(beta sqrt(m/(m+1))), m odd; cumprod does the
+            # same products in the same order
+            m = np.arange(1, max_shell, 2, dtype=float)
+            jh2 = np.zeros(max_shell + 1)
+            jh2[::2] = np.cumprod(np.concatenate(([jh0], -(beta * np.sqrt(m / (m + 1.0)))))) ** 2
+            # it decays geometrically; dropping its numerically dead tail turns
+            # the O(s^2) convolution into O(s * support)
+            jmax = jh2.max()
+            if jmax > 0.0:
+                live = np.nonzero(jh2 > jmax * 1e-40)[0]
+                jh2 = jh2[: live[-1] + 1]
+            conv = np.convolve(self.beam_factor(n, max_shell) ** 2, jh2)[: max_shell + 1]
+            rho = self.geometry.material.density
+            out = (4.0 * wn2 / (math.pi**2 * self.beam.waist**4 * rho * self.geometry.thickness)) * conv
+            out.flags.writeable = False
+            self._traces[max_shell] = out
+        return self._traces[max_shell]
 
 
 def shell_overlap_sq_over_mass(
@@ -290,19 +362,7 @@ def shell_overlap_sq_over_mass(
     Equals the per-mode Laguerre-Gauss sum exactly (same eigenspace, traced in
     the Cartesian basis).  Units kg^-1.
     """
-    wn2 = acoustic_waist_sq(geometry, n)
-    wn = math.sqrt(wn2)
-    ih2 = normalized_hermite_beam_sequence(wn, beam.waist, beam.offset, max_shell) ** 2
-    jh2 = normalized_hermite_beam_sequence(wn, beam.waist, 0.0, max_shell) ** 2
-    # the centered y-factor decays geometrically; dropping its numerically dead
-    # tail turns the O(s^2) convolution into O(s * support)
-    jmax = jh2.max()
-    if jmax > 0.0:
-        live = np.nonzero(jh2 > jmax * 1e-40)[0]
-        jh2 = jh2[: live[-1] + 1]
-    conv = np.convolve(ih2, jh2)[: max_shell + 1]
-    rho = geometry.material.density
-    return (4.0 * wn2 / (math.pi**2 * beam.waist**4 * rho * geometry.thickness)) * conv
+    return ShellTraceTable(geometry, beam, range(n, n + 1)).traces(n, max_shell).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .geometry import PlanoConvexGeometry
 from .modes import ModeData, acoustic_waist_sq, fundamental_frequency
-from .overlap import BeamSpec, check_beam_on_mirror, shell_overlap_sq_over_mass
+from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 
 #: Boltzmann constant, J/K (exact SI value)
 BOLTZMANN = 1.380649e-23
@@ -51,9 +51,9 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be at least 1")
-        if self.n_max < 1 or self.p_max < 0 or self.l_max < 0:
+        if not 1 <= self.max_modes < math.inf:
+            raise ValueError(f"max_modes must be a finite count of at least 1, got {self.max_modes}")
+        if not all(0 <= cap < math.inf for cap in (self.n_max - 1, self.p_max, self.l_max)):
             raise ValueError("index caps out of range")
 
 
@@ -101,6 +101,20 @@ class OpticalMassApprox:
     optical_mass: float
     fundamental_frequency: float
     chi_approx: float
+
+
+def _result(total, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy):
+    """The result of a modal sum; tail_abs = inf marks a sum cut short."""
+    tail_rel = tail_abs / (abs(total) if total else 1.0)
+    return SusceptibilityResult(
+        value=complex(total),
+        frequency=omega,
+        modes_used=modes_used,
+        tail_bound=tail_rel,
+        tail_is_estimate=tail_is_estimate,
+        converged=tail_rel <= policy.epsilon,
+        per_n=tuple(per_n),
+    )
 
 
 def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> complex:
@@ -184,18 +198,9 @@ def _chi_centered(geometry, beam, omega, phi, policy):
             else:
                 tail_n = float("inf")  # degenerate beam (w0 -> 0): no geometric decay
             if modes_used > policy.max_modes:
-                partial = SusceptibilityResult(
-                    value=complex(total + s_n),
-                    frequency=omega,
-                    modes_used=modes_used,
-                    tail_bound=float("inf"),
-                    tail_is_estimate=False,
-                    converged=False,
-                    per_n=tuple(per_n),
-                )
                 raise BudgetExceededError(
                     f"mode budget {policy.max_modes} exhausted at n={n}, p={p_next}",
-                    partial=partial,
+                    partial=_result(total + s_n, omega, modes_used, math.inf, False, per_n, policy),
                 )
             if p_next > policy.p_max:
                 break
@@ -208,18 +213,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
         total += s_n
         tail_abs += tail_n
         per_n.append(s_n)
-
-    scale = abs(total) if total else 1.0
-    tail_rel = tail_abs / scale
-    return SusceptibilityResult(
-        value=complex(total),
-        frequency=omega,
-        modes_used=modes_used,
-        tail_bound=tail_rel,
-        tail_is_estimate=False,
-        converged=tail_rel <= policy.epsilon,
-        per_n=tuple(per_n),
-    )
+    return _result(total, omega, modes_used, tail_abs, False, per_n, policy)
 
 
 def _shell_tail_estimate(abs_terms):
@@ -239,84 +233,92 @@ def _shell_tail_estimate(abs_terms):
     return last * ratio / (1.0 - ratio)
 
 
-def _chi_offaxis(geometry, beam, omega, phi, policy):
-    """Modal sum for a displaced beam, taken shell-by-shell.
+def _chi_offaxis(geometry, beam, omegas, phis, policy):
+    """Modal sums for a displaced beam at each omega of a grid, shell by shell.
 
     Within a degenerate (n, 2p+l) shell the mass-normalized overlap-squared sum
     is basis independent, so it is evaluated in the separable Hermite-Gauss
     basis (stable normalized recurrences) instead of mode by mode; each shell
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
     (sine modes vanish identically).  modes_used counts these shell summands.
-    The per-family tail is an extrapolated estimate, not a bound.
+    The per-family tail is an extrapolated estimate, not a bound.  Families
+    run outermost, so each family's shell traces serve every omega.
     """
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
-    at_zero = omega == 0.0
     shell_cap = min(2 * policy.p_max + policy.l_max, 60_000)
+    table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
 
-    total = 0.0 if at_zero else 0.0 + 0.0j
-    tail_abs = 0.0
-    per_n = []
-    modes_used = 0
+    totals = [0.0 if omega == 0.0 else 0.0 + 0.0j for omega in omegas]
+    tails = [0.0] * len(omegas)
+    per_n = [[] for _ in omegas]
+    modes = [0] * len(omegas)
 
     for n in range(1, policy.n_max + 1):
-        smax = 64
-        while True:
-            smax = min(smax, shell_cap)
-            traces = shell_overlap_sq_over_mass(geometry, beam, n, smax)
-            s_idx = np.arange(smax + 1, dtype=float)
-            om2 = om_m2 * (n * n + curv * n * (s_idx + 1.0))
-            if at_zero:
-                cterms = traces / om2
-                abs_terms = cterms
-            else:
-                den = om2 - omega * omega - 1j * om2 * phi
-                cterms = traces / den
-                abs_terms = np.abs(cterms)
-            tail_beyond = _shell_tail_estimate(abs_terms)
-            target = policy.epsilon * abs(total + cterms.sum()) / (2.0 * policy.n_max)
-            if tail_beyond <= target or smax >= shell_cap:
-                break
-            smax *= 2
-        # trim: keep the smallest shell prefix whose dropped remainder still
-        # meets the per-family target, so the summand count tracks epsilon
-        remainder = np.cumsum(abs_terms[::-1])[::-1]
-        remainder = np.append(remainder[1:], 0.0) + tail_beyond
-        s_stop = int(np.argmax(remainder <= target)) if remainder[-1] <= target else smax
-        s_n = complex(cterms[: s_stop + 1].sum()) if not at_zero else float(cterms[: s_stop + 1].sum())
-        tail_n = float(remainder[s_stop])
-        # one summand per degenerate shell; each shell trace folds in its
-        # s//2 + 1 coupled cosine modes analytically
-        modes_used += s_stop + 1
-        if modes_used > policy.max_modes:
-            partial = SusceptibilityResult(
-                value=complex(total + s_n),
-                frequency=omega,
-                modes_used=modes_used,
-                tail_bound=float("inf"),
-                tail_is_estimate=True,
-                converged=False,
-                per_n=tuple(per_n),
-            )
-            raise BudgetExceededError(
-                f"mode budget {policy.max_modes} exhausted at n={n}", partial=partial
-            )
-        total += s_n
-        tail_abs += tail_n
-        per_n.append(s_n)
+        for k, (omega, phi) in enumerate(zip(omegas, phis)):
+            at_zero = omega == 0.0
+            smax = 64
+            while True:
+                smax = min(smax, shell_cap)
+                traces = table.traces(n, smax)
+                s_idx = np.arange(smax + 1, dtype=float)
+                om2 = om_m2 * (n * n + curv * n * (s_idx + 1.0))
+                if at_zero:
+                    cterms = traces / om2
+                    abs_terms = cterms
+                else:
+                    den = om2 - omega * omega - 1j * om2 * phi
+                    cterms = traces / den
+                    abs_terms = np.abs(cterms)
+                tail_beyond = _shell_tail_estimate(abs_terms)
+                target = policy.epsilon * abs(totals[k] + cterms.sum()) / (2.0 * policy.n_max)
+                if tail_beyond <= target or smax >= shell_cap:
+                    break
+                smax *= 2
+            # trim: keep the smallest shell prefix whose dropped remainder still
+            # meets the per-family target, so the summand count tracks epsilon
+            remainder = np.cumsum(abs_terms[::-1])[::-1]
+            remainder = np.append(remainder[1:], 0.0) + tail_beyond
+            s_stop = int(np.argmax(remainder <= target)) if remainder[-1] <= target else smax
+            s_n = complex(cterms[: s_stop + 1].sum()) if not at_zero else float(cterms[: s_stop + 1].sum())
+            tail_n = float(remainder[s_stop])
+            # one summand per degenerate shell; each shell trace folds in its
+            # s//2 + 1 coupled cosine modes analytically
+            modes[k] += s_stop + 1
+            if modes[k] > policy.max_modes:
+                raise BudgetExceededError(
+                    f"mode budget {policy.max_modes} exhausted at n={n}",
+                    partial=_result(totals[k] + s_n, omega, modes[k], math.inf, True, per_n[k], policy),
+                )
+            totals[k] += s_n
+            tails[k] += tail_n
+            per_n[k].append(s_n)
+    return [
+        _result(total, omega, used, tail_abs, True, sums, policy)
+        for total, omega, used, tail_abs, sums in zip(totals, omegas, modes, tails, per_n)
+    ]
 
-    scale = abs(total) if total else 1.0
-    tail_rel = tail_abs / scale
-    return SusceptibilityResult(
-        value=complex(total),
-        frequency=omega,
-        modes_used=modes_used,
-        tail_bound=tail_rel,
-        tail_is_estimate=True,
-        converged=tail_rel <= policy.epsilon,
-        per_n=tuple(per_n),
-    )
+
+def effective_susceptibility_grid(
+    geometry: PlanoConvexGeometry,
+    beam: BeamSpec,
+    omegas: Sequence[float],
+    loss_angle: LossAngle | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[SusceptibilityResult]:
+    """effective_susceptibility at each omega of a grid, in order, with an
+    offset beam's frequency-free shell traces built once for the whole grid."""
+    for omega in omegas:
+        if not 0 <= omega < math.inf:
+            raise ValueError(f"frequency must be finite and non-negative, got {omega}")
+    check_beam_on_mirror(beam, geometry)
+    if loss_angle is None:
+        loss_angle = geometry.material.loss_angle
+    phis = [_loss_at(loss_angle, omega) if omega > 0 else 0.0 for omega in omegas]
+    if beam.offset == 0.0:
+        return [_chi_centered(geometry, beam, omega, phi, policy) for omega, phi in zip(omegas, phis)]
+    return _chi_offaxis(geometry, beam, omegas, phis, policy)
 
 
 def effective_susceptibility(
@@ -333,24 +335,40 @@ def effective_susceptibility(
     families in ascending n, transverse shells in ascending 2p+l, so repeated
     runs are bit-identical.
     """
-    if omega < 0:
-        raise ValueError("frequency must be non-negative")
-    check_beam_on_mirror(beam, geometry)
-    if loss_angle is None:
-        loss_angle = geometry.material.loss_angle
-    phi = _loss_at(loss_angle, omega) if omega > 0 else 0.0
-    if beam.offset == 0.0:
-        return _chi_centered(geometry, beam, omega, phi, policy)
-    return _chi_offaxis(geometry, beam, omega, phi, policy)
+    return effective_susceptibility_grid(geometry, beam, [omega], loss_angle, policy)[0]
+
+
+def check_temperature(temperature: float) -> None:
+    """Enforce a finite, non-negative temperature."""
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
 
 
 def thermal_force_spectrum(chi_value: complex, omega: float, temperature: float) -> float:
     """S_T = -(2 k_B T / omega) Im(1/chi), the fluctuation-dissipation relation."""
     if omega <= 0:
         raise ValueError("the force spectrum is defined for omega > 0")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    check_temperature(temperature)
     return -(2.0 * BOLTZMANN * temperature / omega) * (1.0 / chi_value).imag
+
+
+def spectrum_point(
+    omega: float, temperature: float, loss_angle: LossAngle, chi: complex, chi_zero: complex
+) -> SpectrumPoint:
+    """The spectra at omega from chi_eff[omega] and chi_eff[0]; no modal sum is taken.
+
+    Exact:  S_u = (2 k_B T / omega) Im(chi_eff[omega])
+    Approx: S_u ~= 2 k_B T (phi/omega) chi_eff[0]   (valid well below resonance)
+    """
+    force = thermal_force_spectrum(chi, omega, temperature)
+    phi = _loss_at(loss_angle, omega)
+    return SpectrumPoint(
+        omega=omega,
+        temperature=temperature,
+        force_spectrum=force,
+        displacement_spectrum=(2.0 * BOLTZMANN * temperature / omega) * chi.imag,
+        displacement_spectrum_lowfreq=2.0 * BOLTZMANN * temperature * (phi / omega) * chi_zero.real,
+    )
 
 
 def displacement_noise_spectrum(
@@ -364,30 +382,18 @@ def displacement_noise_spectrum(
 ) -> SpectrumPoint:
     """Displacement noise at omega: exact branch and low-frequency approximation.
 
-    Exact:  S_u = (2 k_B T / omega) Im(chi_eff[omega])
-    Approx: S_u ~= 2 k_B T (phi/omega) chi_eff[0]   (valid well below resonance)
-
-    Pass chi_zero to reuse a previously computed zero-frequency sum across a
-    frequency grid.
+    See spectrum_point.  Pass chi_zero to reuse a previously computed
+    zero-frequency sum across a frequency grid.
     """
     if omega <= 0:
         raise ValueError("the noise spectrum is defined for omega > 0")
+    check_temperature(temperature)
     if loss_angle is None:
         loss_angle = geometry.material.loss_angle
     chi = effective_susceptibility(geometry, beam, omega, loss_angle, policy)
     if chi_zero is None:
         chi_zero = effective_susceptibility(geometry, beam, 0.0, loss_angle, policy)
-    phi = _loss_at(loss_angle, omega)
-    exact = (2.0 * BOLTZMANN * temperature / omega) * chi.value.imag
-    approx = 2.0 * BOLTZMANN * temperature * (phi / omega) * chi_zero.value.real
-    force = thermal_force_spectrum(chi.value, omega, temperature)
-    return SpectrumPoint(
-        omega=omega,
-        temperature=temperature,
-        force_spectrum=force,
-        displacement_spectrum=exact,
-        displacement_spectrum_lowfreq=approx,
-    )
+    return spectrum_point(omega, temperature, loss_angle, chi.value, chi_zero.value)
 
 
 def optical_mass_model(geometry: PlanoConvexGeometry, beam: BeamSpec) -> OpticalMassApprox:

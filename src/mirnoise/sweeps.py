@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .geometry import Material, FUSED_SILICA, PlanoConvexGeometry, solve_geometry
 from .modes import acoustic_waist_sq, fundamental_frequency
-from .overlap import BeamSpec, check_beam_on_mirror, shell_overlap_sq_over_mass
+from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 from .susceptibility import (
     DEFAULT_POLICY,
     SusceptibilityResult,
@@ -221,6 +221,30 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     return per_n
 
 
+def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
+    """All (n, shell) zero-frequency terms of a displaced beam down to a floor
+    relative to the largest term of family 1's first 64 shells."""
+    om_m2 = fundamental_frequency(geometry) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
+    top = None
+    per_n = []
+    for n in range(1, n_max + 1):
+        smax = 64
+        while True:
+            traces = table.traces(n, smax)
+            om2 = om_m2 * (n * n + curv * n * (np.arange(smax + 1) + 1.0))
+            terms = traces / om2
+            if top is None:
+                top = terms.max()
+            if terms[-1] < top * floor_rel or smax >= 60_000:
+                break
+            smax *= 2
+        s = np.nonzero(terms >= top * floor_rel)[0]
+        per_n.append((n, terms[s], s))
+    return per_n
+
+
 def convergence_study(
     geometry: PlanoConvexGeometry,
     beam: BeamSpec,
@@ -243,56 +267,18 @@ def convergence_study(
         raise ValueError("checkpoints must be strictly increasing")
     check_beam_on_mirror(beam, geometry)
 
-    if beam.offset == 0.0:
-        pool = _centered_term_pool(geometry, beam, n_max)
-        terms = np.concatenate([t for _, t, _ in pool])
-        n_ids = np.concatenate([np.full(len(t), n) for n, t, _ in pool])
-        p_ids = np.concatenate([p for _, _, p in pool])
-        order = np.lexsort((p_ids, n_ids, -terms))
-        csum = np.cumsum(terms[order])
-        out = []
-        for k in checkpoints:
-            idx = min(k, len(csum)) - 1
-            out.append((k, float(csum[idx])))
-        return out
-
-    # displaced beam: degenerate shells are the natural grain; a shell of
-    # index s holds s//2 + 1 coupled (cosine) modes
-    om_m2 = fundamental_frequency(geometry) ** 2
-    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
-    grain_terms = []
-    grain_counts = []
-    grain_keys = []
-    top = None
-    for n in range(1, n_max + 1):
-        smax = 64
-        while True:
-            traces = shell_overlap_sq_over_mass(geometry, beam, n, smax)
-            om2 = om_m2 * (n * n + curv * n * (np.arange(smax + 1) + 1.0))
-            terms = traces / om2
-            if top is None:
-                top = terms.max()
-            if terms[-1] < top * 1e-25 or smax >= 60_000:
-                break
-            smax *= 2
-        keep = terms >= top * 1e-25
-        for s in np.nonzero(keep)[0]:
-            grain_terms.append(terms[s])
-            grain_counts.append(s // 2 + 1)
-            grain_keys.append((n, s))
-    order = sorted(range(len(grain_terms)), key=lambda i: (-grain_terms[i], grain_keys[i]))
-    out = []
-    acc = 0.0
-    count = 0
-    it = iter(order)
-    pending = next(it, None)
-    for k in checkpoints:
-        while pending is not None and count < k:
-            acc += grain_terms[pending]
-            count += grain_counts[pending]
-            pending = next(it, None)
-        out.append((k, acc))
-    return out
+    centered = beam.offset == 0.0
+    pool = (_centered_term_pool if centered else _shell_term_pool)(geometry, beam, n_max)
+    terms = np.concatenate([t for _, t, _ in pool])
+    n_ids = np.concatenate([np.full(len(t), n) for n, t, _ in pool])
+    sub_ids = np.concatenate([i for _, _, i in pool])
+    # off axis the grains are degenerate shells of s//2 + 1 (cosine) modes
+    counts = np.ones(len(terms), dtype=int) if centered else sub_ids // 2 + 1
+    order = np.lexsort((sub_ids, n_ids, -terms))
+    # sequential sums in grain order; a checkpoint takes grains until their modes reach it
+    csum = np.cumsum(terms[order])
+    taken = np.minimum(np.searchsorted(np.cumsum(counts[order]), checkpoints) + 1, len(csum))
+    return [(k, float(csum[j - 1]) if j else 0.0) for k, j in zip(checkpoints, taken)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from mirnoise import cli
 from mirnoise.cli import main
+from mirnoise.errors import QuadratureConvergenceError, RecurrenceOverflowError
 
 
 def run_cli(capsys, *argv):
@@ -159,3 +162,71 @@ def test_compare_rejects_nonreference_waist(capsys):
     code, out, _ = run_cli(capsys, "compare", "--waist", "0.03", "--no-cylindrical")
     assert code == 0
     assert "improvement_ratio" not in out.splitlines()[1]
+
+
+# golden files written by the scalar per-family implementation that the
+# shared shell-trace table replaced; the CSV output must not change by a byte
+GOLDEN_RUNS = {
+    "spectrum_centered.csv": ("spectrum", "--omega-min", "200", "--omega-max", "1e6", "--points", "12"),
+    "spectrum_offset.csv": (
+        "spectrum", "--offset", "0.03", "--omega-min", "200", "--omega-max", "1e6", "--points", "12",
+    ),
+    "sweep_offset.csv": (
+        "sweep", "--param", "offset", "--waist", "0.055", "--lo", "0.035", "--hi", "0.185",
+        "--points", "3",
+    ),
+    "converge_offset.csv": ("converge", "--offset", "0.025"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_csv_matches_golden_bytes(name, tmp_path, capsys):
+    path = tmp_path / name
+    code, _, _ = run_cli(capsys, *GOLDEN_RUNS[name], "--output", str(path))
+    assert code == 0
+    golden = Path(__file__).with_name("data") / name
+    assert path.read_bytes() == golden.read_bytes()
+
+
+def test_spectrum_budget_exit_code(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--points", "3", "--max-modes", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: mode budget 10 exhausted")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "error", [RecurrenceOverflowError("overflow"), QuadratureConvergenceError("stalled")]
+)
+def test_computation_errors_exit_code(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "effective_susceptibility", fail)
+    code, out, err = run_cli(capsys, "chi0", "--offset", "0.01")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi0", "--offset", "nan"),
+        ("chi0", "--waist", "inf"),
+        ("chi0", "--mass", "inf"),
+        ("chi0", "--thickness", "nan"),
+        ("chi0", "--density", "inf"),
+        ("chi0", "--sound-speed", "nan"),
+        ("chi0", "--epsilon", "nan"),
+        ("spectrum", "--points", "3", "--temperature", "nan"),
+        ("spectrum", "--points", "3", "--temperature", "inf"),
+        ("spectrum", "--points", "3", "--omega-max", "inf"),
+    ],
+)
+def test_non_finite_inputs_exit_code(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

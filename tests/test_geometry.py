@@ -142,3 +142,17 @@ def test_profile_strictly_decreasing(f1, f2):
     r_lo = lo * geo.diameter / 2.0
     r_hi = hi * geo.diameter / 2.0
     assert thickness_profile(geo, r_hi) < thickness_profile(geo, r_lo)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError):
+        Material(density=bad, sound_velocity=5960.0)
+    with pytest.raises(ValueError):
+        Material(density=2200.0, sound_velocity=bad)
+    with pytest.raises(ValueError):
+        Material(density=2200.0, sound_velocity=5960.0, loss_angle=bad)
+    with pytest.raises(ValueError):
+        solve_geometry(bad, 0.07, FUSED_SILICA)
+    with pytest.raises(ValueError):
+        solve_geometry(20.0, bad, FUSED_SILICA)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,10 +164,13 @@ def test_surface_displacement_domain_error(geo):
     st.floats(min_value=0.0, max_value=20.0),
 )
 def test_laguerre_recurrence_vs_monomials(p, x):
-    # explicit alternating-sum expansion as the independent reference
-    ref = sum(
-        (-1) ** k * math.comb(p, p - k) * x**k / math.factorial(k) for k in range(p + 1)
-    )
+    # explicit alternating-sum expansion as the independent reference, summed
+    # in exact rationals: in floats its cancellation alone exceeds 1e-10
+    # relative (p=10, x=11.84375 loses 5.6e-8)
+    ref = float(sum(
+        Fraction((-1) ** k * math.comb(p, p - k), math.factorial(k)) * Fraction(x) ** k
+        for k in range(p + 1)
+    ))
     got = float(generalized_laguerre(p, 0, x))
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
 

@@ -9,6 +9,7 @@ from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, effective_mass, mode_data
 from mirnoise.overlap import (
     BeamSpec,
+    ShellTraceTable,
     beam_profile,
     check_beam_on_mirror,
     hermite_product_tables,
@@ -235,3 +236,64 @@ def test_normalized_sequence_bounded(m):
     # unit-norm Hermite-Gauss overlaps with a Gaussian window stay bounded
     seq = normalized_hermite_beam_sequence(0.05, 0.02, 0.04, 60)
     assert abs(seq[m]) < 2.0
+
+
+def _scalar_hermite_oracle(wn, w0, d, mmax):
+    """The one-family scalar recurrence, kept as the reference for the table."""
+    g = wn * wn / (w0 * w0)
+    a = 0.5 + g
+    delta = math.sqrt(2.0) * d / wn
+    mu = g * delta / a
+    beta = 1.0 - 1.0 / a
+    pref = math.exp(g * delta * delta * (g / a - 1.0)) * math.sqrt(math.pi / a)
+    ih = np.zeros(mmax + 1)
+    ih[0] = pref / math.pi**0.25
+    if mmax >= 1:
+        ih[1] = mu * math.sqrt(2.0) * ih[0]
+    for m in range(1, mmax):
+        ih[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * ih[m] - beta * math.sqrt(m / (m + 1.0)) * ih[m - 1]
+    return ih
+
+
+def _scalar_shell_traces_oracle(geometry, beam, n, max_shell):
+    """Shell traces from the scalar recurrence, with the same convolution steps."""
+    wn2 = acoustic_waist_sq(geometry, n)
+    wn = math.sqrt(wn2)
+    ih2 = _scalar_hermite_oracle(wn, beam.waist, beam.offset, max_shell) ** 2
+    jh2 = _scalar_hermite_oracle(wn, beam.waist, 0.0, max_shell) ** 2
+    jmax = jh2.max()
+    if jmax > 0.0:
+        live = np.nonzero(jh2 > jmax * 1e-40)[0]
+        jh2 = jh2[: live[-1] + 1]
+    conv = np.convolve(ih2, jh2)[: max_shell + 1]
+    rho = geometry.material.density
+    return (4.0 * wn2 / (math.pi**2 * beam.waist**4 * rho * geometry.thickness)) * conv
+
+
+@pytest.mark.parametrize("waist, offset", [(0.02, 0.11), (0.055, 0.185), (0.02, 0.0)])
+def test_shell_trace_table_equals_scalar_oracle(geo, waist, offset):
+    beam = BeamSpec(waist=waist, offset=offset)
+    table = ShellTraceTable(geo, beam, range(1, 201))
+    # ascending families; growth at (1, 2048) and (200, 2100) drops the lower ones
+    for n, smax in ((1, 64), (1, 2048), (7, 2048), (50, 300), (50, 2048), (200, 2048), (200, 2100)):
+        wn = math.sqrt(acoustic_waist_sq(geo, n))
+        oracle = _scalar_hermite_oracle(wn, waist, offset, smax)
+        assert np.array_equal(table.beam_factor(n, smax), oracle)
+        assert np.array_equal(table.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
+    with pytest.raises(ValueError):
+        table.beam_factor(7, 10)
+
+
+@pytest.mark.parametrize("mmax", [0, 1, 2, 60, 2048])
+def test_normalized_sequence_equals_scalar_oracle(mmax):
+    for d in (0.0, 0.04):
+        seq = normalized_hermite_beam_sequence(0.05, 0.02, d, mmax)
+        assert np.array_equal(seq, _scalar_hermite_oracle(0.05, 0.02, d, mmax))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_beam_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        BeamSpec(waist=bad)
+    with pytest.raises(ValueError):
+        BeamSpec(waist=0.02, offset=bad)

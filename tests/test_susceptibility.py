@@ -13,8 +13,10 @@ from mirnoise.susceptibility import (
     TruncationPolicy,
     displacement_noise_spectrum,
     effective_susceptibility,
+    effective_susceptibility_grid,
     mode_susceptibility,
     optical_mass_model,
+    spectrum_point,
     thermal_force_spectrum,
 )
 
@@ -222,3 +224,32 @@ def test_mass_insensitivity(geo):
         values.append(effective_susceptibility(geom, BeamSpec(waist=0.02)).value.real)
     spread = (max(values) - min(values)) / min(values)
     assert spread < 0.05
+
+
+def test_grid_equals_single_frequency_sums(geo):
+    # the shared shell traces must not change any omega's result
+    omegas = [0.0, 2e2, 3e5, 1e6]
+    for beam in (BeamSpec(waist=0.02), BeamSpec(waist=0.02, offset=0.03)):
+        grid = effective_susceptibility_grid(geo, beam, omegas, 1e-6)
+        assert grid == [effective_susceptibility(geo, beam, om, 1e-6) for om in omegas]
+
+
+def test_spectrum_point_matches_noise_spectrum(geo, beam):
+    om = 4e3
+    chi = effective_susceptibility(geo, beam, om, 1e-6)
+    chi_zero = effective_susceptibility(geo, beam, 0.0, 1e-6)
+    point = spectrum_point(om, 300.0, 1e-6, chi.value, chi_zero.value)
+    assert point == displacement_noise_spectrum(geo, beam, om, 300.0, 1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_rejected(geo, beam, bad):
+    for kwargs in ({"max_modes": bad}, {"n_max": bad}, {"p_max": bad}, {"epsilon": bad}):
+        with pytest.raises(ValueError):
+            TruncationPolicy(**kwargs)
+    with pytest.raises(ValueError):
+        effective_susceptibility(geo, beam, bad)
+    with pytest.raises(ValueError):
+        thermal_force_spectrum(1e-10 + 1e-16j, 1e3, bad)
+    with pytest.raises(ValueError):
+        displacement_noise_spectrum(geo, beam, 1e3, bad)
