@@ -128,92 +128,111 @@ def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> 
 
 
 def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
-    """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|.
+    """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|,
+    elementwise over the families n.
 
-    Omega^2 grows linearly in s, so the minimum sits at shell_start or at the
-    crossing with omega^2.
+    Omega^2 grows linearly in s, so the minimum sits at shell_start or at a
+    shell either side of the crossing with omega^2.
     """
-    def w2(s):
-        return om_m2 * (n * n + curv * n * (s + 1.0))
-
     om2 = omega * omega
-    candidates = [shell_start]
-    if w2(shell_start) < om2:
-        s_cross = ((om2 / om_m2 - n * n) / (curv * n) - 1.0)
-        for s in (math.floor(s_cross), math.ceil(s_cross)):
-            if s >= shell_start:
-                candidates.append(s)
-    return min(abs(complex(w2(s) - om2, -w2(s) * phi)) for s in candidates)
+    s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
+    s = np.maximum([shell_start, np.floor(s_cross), np.ceil(s_cross)], shell_start)
+    w2 = om_m2 * (n * n + curv * n * (s + 1.0))
+    return np.hypot(w2 - om2, -w2 * phi).min(axis=0)
 
 
+def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
+    """Sums over p0 <= p < p0 + count of the terms of the families n, with
+    ovl2_head = c^2 q^(2 p0); per-family values are scalars (one family) or
+    columns (a row per family)."""
+    p = np.arange(p0, p0 + count, dtype=float)
+    ovl2 = ovl2_head * q2 ** (p - p0)
+    om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
+    if omega == 0.0:
+        return (ovl2 / (mass * om2)).sum(axis=-1)
+    return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1)
+
+
+def _centered_tail(om_m2, curv, n, mass, q2, ovl2_next, p_next, omega, phi):
+    """Bound on the terms p >= p_next of the families n: the overlaps decay as
+    q^(2p) and no denominator falls below the smallest one left.  A degenerate
+    beam (w0 -> 0, q2 = 1) has no geometric decay and an infinite tail."""
+    if omega == 0.0:
+        min_den = om_m2 * (n * n + curv * n * (2.0 * p_next + 1.0))
+    else:
+        min_den = _min_abs_denominator(om_m2, n, curv, 2 * p_next, omega, phi)
+    return ovl2_next / ((1.0 - q2) * mass * min_den)
+
+
+@np.errstate(divide="ignore")  # the tail of a degenerate beam is inf
 def _chi_centered(geometry, beam, omega, phi, policy):
     """Modal sum for a centered beam: l = 0 cosine modes only, closed-form
-    overlaps, rigorous geometric tail bound per longitudinal family."""
+    overlaps, rigorous geometric tail bound per longitudinal family.
+
+    Blocks of p double from 64 to 8192 terms until a family's tail meets its
+    share of the tolerance.  The first block of every family is one 2D array,
+    a row per family; a walk in ascending n then takes the families whose
+    first block suffices in one vector step, up to the next one that needs a
+    further block, which it sums alone before walking on.
+    """
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     w02 = beam.waist * beam.waist
-    rho = geometry.material.density
-    h0 = geometry.thickness
-    at_zero = omega == 0.0
+    first = min(64, policy.p_max + 1)
+    # a family past max_modes // first + 1 cannot be reached within the budget
+    n = np.arange(1.0, min(policy.n_max, policy.max_modes // first + 1) + 1.0)
+    wn2 = acoustic_waist_sq(geometry, n)
+    mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
+    c = 2.0 * wn2 / (2.0 * wn2 + w02)
+    q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+    q2 = q * q
+    head = c * c  # c^2 q^(2 p0) at the head of each family's next block
+    sums = _centered_block(om_m2, curv, n[:, None], mass[:, None], head[:, None], q2[:, None],
+                           0, first, omega, phi)
+    # Python's scalar pow: numpy's vector one can differ from it in the last bit
+    head *= [q2_n**first for q2_n in q2.tolist()]
+    tails = _centered_tail(om_m2, curv, n, mass, q2, head, np.full(len(n), first), omega, phi)
 
-    total = 0.0 if at_zero else 0.0 + 0.0j
-    tail_abs = 0.0
-    per_n = []
-    modes_used = 0
-
-    for n in range(1, policy.n_max + 1):
-        wn2 = acoustic_waist_sq(geometry, n)
-        mass = (math.pi / 4.0) * rho * h0 * wn2
-        c = 2.0 * wn2 / (2.0 * wn2 + w02)
-        q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
-        q2 = q * q
-        s_n = 0.0 if at_zero else 0.0 + 0.0j
-        ovl2_head = c * c  # c^2 q^(2 p0) at the head of the current block
-        p0 = 0
-        block = 64
-        tail_n = 0.0
+    total, used, k, walk = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0, 0, True
+    while k < len(n):
+        if walk:
+            # running totals in ascending n from family k on: every family up to
+            # the first whose first block falls short is done in one vector step
+            # (hypot is Python's complex abs; numpy's can differ in the last bit)
+            totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
+            modes = used + first * np.arange(1, len(totals) + 1)
+            target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
+            done = (modes <= policy.max_modes) & ((first > policy.p_max) | (tails[k:] <= target))
+            j = len(done) if done.all() else int(np.argmin(done))
+            if j:
+                total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
+            if k == len(n):
+                break
+        # that family alone: further blocks until its tail meets its target
+        s_n, p, tail_n = sums[k].item(), first, tails[k]
         while True:
-            count = min(block, policy.p_max + 1 - p0)
-            p = np.arange(p0, p0 + count, dtype=float)
-            ovl2 = ovl2_head * q2 ** (p - p0)
-            om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
-            if at_zero:
-                s_n += float((ovl2 / (mass * om2)).sum())
-            else:
-                den = mass * (om2 - omega * omega - 1j * om2 * phi)
-                s_n += complex((ovl2 / den).sum())
-            modes_used += count
-            p_next = p0 + count
-            ovl2_next = ovl2_head * q2**count
-            if ovl2_next == 0.0:
-                tail_n = 0.0
-            elif q2 < 1.0:
-                min_den = (
-                    om_m2 * (n * n + curv * n * (2.0 * p_next + 1.0))
-                    if at_zero
-                    else _min_abs_denominator(om_m2, n, curv, 2 * p_next, omega, phi)
-                )
-                tail_n = ovl2_next / ((1.0 - q2) * mass * min_den)
-            else:
-                tail_n = float("inf")  # degenerate beam (w0 -> 0): no geometric decay
-            if modes_used > policy.max_modes:
+            if used + p > policy.max_modes:
                 raise BudgetExceededError(
-                    f"mode budget {policy.max_modes} exhausted at n={n}, p={p_next}",
-                    partial=_result(total + s_n, omega, modes_used, math.inf, False, per_n, policy),
+                    f"mode budget {policy.max_modes} exhausted at n={k + 1}, p={p}",
+                    partial=_result(total + s_n, omega, used + p, math.inf, False, sums[:k].tolist(),
+                                    policy),
                 )
-            if p_next > policy.p_max:
+            if p > policy.p_max or tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
                 break
-            target = policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max)
-            if tail_n <= target:
-                break
-            ovl2_head = ovl2_next
-            p0 = p_next
-            block = min(2 * block, 8192)
-        total += s_n
-        tail_abs += tail_n
-        per_n.append(s_n)
-    return _result(total, omega, modes_used, tail_abs, False, per_n, policy)
+            # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
+            count = min(p + 64, 8192, policy.p_max + 1 - p)
+            block = _centered_block(om_m2, curv, n[k], mass[k], head[k], q2[k], p, count, omega, phi)
+            s_n += block.item()
+            head[k] *= float(q2[k]) ** count
+            p += count
+            tail_n = _centered_tail(om_m2, curv, n[k], mass[k], q2[k], head[k], p, omega, phi)
+        sums[k], tails[k] = s_n, tail_n
+        total, used, k = total + s_n, used + p, k + 1
+        # walk on in vector steps once a family needs no further block; in a
+        # narrow beam every family does, and each step would stop at once
+        walk = p == first
+    return _result(total, omega, used, np.cumsum(tails)[-1].item(), False, sums.tolist(), policy)
 
 
 def _shell_tail_estimate(abs_terms):
@@ -383,16 +402,18 @@ def displacement_noise_spectrum(
     """Displacement noise at omega: exact branch and low-frequency approximation.
 
     See spectrum_point.  Pass chi_zero to reuse a previously computed
-    zero-frequency sum across a frequency grid.
+    zero-frequency sum across a frequency grid; without it both sums come
+    from one grid call, which builds an offset beam's shell traces once.
     """
     if omega <= 0:
         raise ValueError("the noise spectrum is defined for omega > 0")
     check_temperature(temperature)
     if loss_angle is None:
         loss_angle = geometry.material.loss_angle
-    chi = effective_susceptibility(geometry, beam, omega, loss_angle, policy)
     if chi_zero is None:
-        chi_zero = effective_susceptibility(geometry, beam, 0.0, loss_angle, policy)
+        chi, chi_zero = effective_susceptibility_grid(geometry, beam, [omega, 0.0], loss_angle, policy)
+    else:
+        chi = effective_susceptibility(geometry, beam, omega, loss_angle, policy)
     return spectrum_point(omega, temperature, loss_angle, chi.value, chi_zero.value)
 
 

@@ -24,6 +24,7 @@ from .susceptibility import (
     DEFAULT_POLICY,
     SusceptibilityResult,
     TruncationPolicy,
+    check_temperature,
     effective_susceptibility,
 )
 
@@ -71,6 +72,7 @@ class SweepSpec:
             raise ValueError("a sweep needs at least 2 points")
         if self.parameter == "offset" and self.lo < 0:
             raise ValueError("offsets are non-negative")
+        check_temperature(self.temperature)
 
     def values(self) -> np.ndarray:
         if self.parameter == "mode_count":

@@ -164,8 +164,9 @@ def test_compare_rejects_nonreference_waist(capsys):
     assert "improvement_ratio" not in out.splitlines()[1]
 
 
-# golden files written by the scalar per-family implementation that the
-# shared shell-trace table replaced; the CSV output must not change by a byte
+# golden files written by the per-family implementations that the shared
+# shell-trace table (offset beams) and the all-families block sum (centered
+# beams) replaced; the CSV output must not change by a byte
 GOLDEN_RUNS = {
     "spectrum_centered.csv": ("spectrum", "--omega-min", "200", "--omega-max", "1e6", "--points", "12"),
     "spectrum_offset.csv": (
@@ -176,6 +177,10 @@ GOLDEN_RUNS = {
         "--points", "3",
     ),
     "converge_offset.csv": ("converge", "--offset", "0.025"),
+    "sweep_thickness.csv": ("sweep", "--param", "thickness"),
+    "sweep_waist.csv": ("sweep", "--param", "waist"),
+    "converge_centered.csv": ("converge",),
+    "compare_centered.csv": ("compare",),
 }
 
 
@@ -223,6 +228,7 @@ def test_computation_errors_exit_code(error, monkeypatch, capsys):
         ("spectrum", "--points", "3", "--temperature", "nan"),
         ("spectrum", "--points", "3", "--temperature", "inf"),
         ("spectrum", "--points", "3", "--omega-max", "inf"),
+        ("sweep", "--param", "mass", "--lo", "10", "--hi", "20", "--points", "2", "--temperature", "nan"),
     ],
 )
 def test_non_finite_inputs_exit_code(argv, capsys):

@@ -6,10 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from mirnoise.errors import BudgetExceededError
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import ModeIndex, acoustic_waist_sq, effective_mass, eigenfrequency_sq, mode_data
+from mirnoise.modes import (
+    ModeIndex,
+    acoustic_waist_sq,
+    effective_mass,
+    eigenfrequency_sq,
+    fundamental_frequency,
+    mode_data,
+)
 from mirnoise.overlap import BeamSpec, overlap_centered
 from mirnoise.susceptibility import (
     BOLTZMANN,
+    SusceptibilityResult,
     TruncationPolicy,
     displacement_noise_spectrum,
     effective_susceptibility,
@@ -253,3 +261,179 @@ def test_non_finite_inputs_rejected(geo, beam, bad):
         thermal_force_spectrum(1e-10 + 1e-16j, 1e3, bad)
     with pytest.raises(ValueError):
         displacement_noise_spectrum(geo, beam, 1e3, bad)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03])
+def test_noise_spectrum_equals_two_separate_sums(geo, offset):
+    beam = BeamSpec(waist=0.02, offset=offset)
+    om = 3e3
+    chi = effective_susceptibility(geo, beam, om, 1e-6)
+    chi_zero = effective_susceptibility(geo, beam, 0.0, 1e-6)
+    expected = spectrum_point(om, 300.0, 1e-6, chi.value, chi_zero.value)
+    assert displacement_noise_spectrum(geo, beam, om, 300.0, 1e-6) == expected
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the centered modal sum: the per-family implementation that the
+# all-families block sum replaced, kept verbatim.  The library must reproduce
+# its results, budget errors and partial results exactly (==, not approx).
+# ---------------------------------------------------------------------------
+
+
+def _oracle_min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
+    def w2(s):
+        return om_m2 * (n * n + curv * n * (s + 1.0))
+
+    om2 = omega * omega
+    candidates = [shell_start]
+    if w2(shell_start) < om2:
+        s_cross = ((om2 / om_m2 - n * n) / (curv * n) - 1.0)
+        for s in (math.floor(s_cross), math.ceil(s_cross)):
+            if s >= shell_start:
+                candidates.append(s)
+    return min(abs(complex(w2(s) - om2, -w2(s) * phi)) for s in candidates)
+
+
+def _oracle_result(total, omega, modes_used, tail_abs, per_n, policy):
+    tail_rel = tail_abs / (abs(total) if total else 1.0)
+    return SusceptibilityResult(
+        value=complex(total),
+        frequency=omega,
+        modes_used=modes_used,
+        tail_bound=tail_rel,
+        tail_is_estimate=False,
+        converged=tail_rel <= policy.epsilon,
+        per_n=tuple(per_n),
+    )
+
+
+def _oracle_chi_centered(geometry, beam, omega, phi, policy):
+    om_m = fundamental_frequency(geometry)
+    om_m2 = om_m * om_m
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    w02 = beam.waist * beam.waist
+    rho = geometry.material.density
+    h0 = geometry.thickness
+    at_zero = omega == 0.0
+
+    total = 0.0 if at_zero else 0.0 + 0.0j
+    tail_abs = 0.0
+    per_n = []
+    modes_used = 0
+
+    for n in range(1, policy.n_max + 1):
+        wn2 = acoustic_waist_sq(geometry, n)
+        mass = (math.pi / 4.0) * rho * h0 * wn2
+        c = 2.0 * wn2 / (2.0 * wn2 + w02)
+        q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+        q2 = q * q
+        s_n = 0.0 if at_zero else 0.0 + 0.0j
+        ovl2_head = c * c  # c^2 q^(2 p0) at the head of the current block
+        p0 = 0
+        block = 64
+        tail_n = 0.0
+        while True:
+            count = min(block, policy.p_max + 1 - p0)
+            p = np.arange(p0, p0 + count, dtype=float)
+            ovl2 = ovl2_head * q2 ** (p - p0)
+            om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
+            if at_zero:
+                s_n += float((ovl2 / (mass * om2)).sum())
+            else:
+                den = mass * (om2 - omega * omega - 1j * om2 * phi)
+                s_n += complex((ovl2 / den).sum())
+            modes_used += count
+            p_next = p0 + count
+            ovl2_next = ovl2_head * q2**count
+            if ovl2_next == 0.0:
+                tail_n = 0.0
+            elif q2 < 1.0:
+                min_den = (
+                    om_m2 * (n * n + curv * n * (2.0 * p_next + 1.0))
+                    if at_zero
+                    else _oracle_min_abs_denominator(om_m2, n, curv, 2 * p_next, omega, phi)
+                )
+                tail_n = ovl2_next / ((1.0 - q2) * mass * min_den)
+            else:
+                tail_n = float("inf")  # degenerate beam (w0 -> 0): no geometric decay
+            if modes_used > policy.max_modes:
+                raise BudgetExceededError(
+                    f"mode budget {policy.max_modes} exhausted at n={n}, p={p_next}",
+                    partial=_oracle_result(total + s_n, omega, modes_used, math.inf, per_n, policy),
+                )
+            if p_next > policy.p_max:
+                break
+            target = policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max)
+            if tail_n <= target:
+                break
+            ovl2_head = ovl2_next
+            p0 = p_next
+            block = min(2 * block, 8192)
+        total += s_n
+        tail_abs += tail_n
+        per_n.append(s_n)
+    return _oracle_result(total, omega, modes_used, tail_abs, per_n, policy)
+
+
+def _outcome(chi, *args):
+    """A sum's result, or its budget error's message and partial result."""
+    try:
+        result = chi(*args)
+    except BudgetExceededError as err:
+        return "budget", str(err), err.partial, type(err.partial.modes_used)
+    types = {type(result.modes_used), type(result.tail_bound), type(result.converged)}
+    return "ok", result, types, tuple(type(s) for s in result.per_n)
+
+
+def assert_matches_oracle(geometry, beam, omega, policy, loss_angle=1e-6):
+    phi = loss_angle if omega > 0 else 0.0
+    expected = _outcome(_oracle_chi_centered, geometry, beam, omega, phi, policy)
+    got = _outcome(effective_susceptibility, geometry, beam, omega, loss_angle, policy)
+    assert got == expected
+
+
+#: across the fundamental resonance of the 7 cm substrate (about 2.7e5 rad/s)
+ORACLE_OMEGAS = (0.0, 2e2, 2.5e5, 2.7e5, 2.9e5, 1e6)
+ORACLE_POLICIES = (
+    TruncationPolicy(),
+    TruncationPolicy(p_max=100),  # the second block is cut short at 37 terms
+    TruncationPolicy(p_max=40),  # the first block is cut short
+    TruncationPolicy(n_max=1),
+    TruncationPolicy(n_max=50),
+    TruncationPolicy(n_max=400),
+    TruncationPolicy(epsilon=1e-9),
+)
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+@pytest.mark.parametrize("waist", [0.001, 0.005, 0.02, 0.06])
+def test_centered_sum_matches_oracle(thickness, waist):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist)
+    for policy in ORACLE_POLICIES:
+        for omega in ORACLE_OMEGAS:
+            assert_matches_oracle(geometry, beam, omega, policy)
+
+
+@pytest.mark.parametrize(
+    "waist, max_modes",
+    [(0.02, 1), (0.02, 100), (0.02, 12_900), (0.001, 5_000), (0.001, 200_000)],
+)
+def test_centered_budget_overrun_matches_oracle(geo, waist, max_modes):
+    policy = TruncationPolicy(max_modes=max_modes)
+    for omega in (0.0, 2.7e5):
+        assert_matches_oracle(geo, BeamSpec(waist=waist), omega, policy)
+        with pytest.raises(BudgetExceededError):
+            effective_susceptibility(geo, BeamSpec(waist=waist), omega, 1e-6, policy)
+
+
+@given(
+    thickness=st.floats(min_value=0.04, max_value=0.12),
+    waist=st.floats(min_value=0.002, max_value=0.06),
+    epsilon=st.floats(min_value=1e-9, max_value=0.5),
+    omega=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=2e6)),
+)
+@settings(max_examples=25, deadline=None)
+def test_centered_sum_matches_oracle_property(thickness, waist, epsilon, omega):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    assert_matches_oracle(geometry, BeamSpec(waist=waist), omega, TruncationPolicy(epsilon=epsilon))
