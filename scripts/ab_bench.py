@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B benchmark: a committed revision against the working tree, in alternating pairs.
 
-    python3 scripts/ab_bench.py --rev HEAD --workload centered --seed 1 --seconds 30 --pairs 6
+    python3 scripts/ab_bench.py --rev HEAD --workload centered,offaxis,spectrum --seed 1 --seconds 30
 
 The revision's committed files are exported into a temporary directory with
 ``git archive``, so nothing is registered with git and an interrupted run
@@ -9,9 +9,10 @@ leaves at most a stray directory under the system temporary directory.  Each
 pair runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T``
 once in that copy and once in the working tree; the side that goes first
 alternates from pair to pair, so a drift in machine speed hits both sides
-alike.  The report gives, for each side, the median [q1, q3] of every
-end-to-end metric and the number of pairs in which the working tree had the
-lower solve_s.  Standard library only; perfbench/ is run, never imported.
+alike.  Several workloads, comma-separated, run one after another.  The
+report gives, per workload, the median [q1, q3] of every end-to-end metric
+on each side and the number of pairs in which the working tree had the lower
+solve_s.  Standard library only; perfbench/ is run, never imported.
 """
 from __future__ import annotations
 
@@ -60,34 +61,40 @@ def summary(values: list[float]) -> str:
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def report(workload: str, runs: dict, rev: str, pairs: int, seconds: float) -> None:
+    """One workload's block: median [q1, q3] per metric and side, and the win count."""
+    print(f"\n{workload}, {pairs} pairs of {seconds:g} s runs, median [q1, q3]")
+    for name in runs["base"][0]:
+        for side, label in (("base", rev), ("change", "working tree")):
+            print(f"  {name:16s} {label:14s} {summary([r[name] for r in runs[side]])}")
+    wins = sum(c["solve_s"] < b["solve_s"] for b, c in zip(runs["base"], runs["change"]))
+    print(f"working tree faster on solve_s in {wins} of {pairs} pairs")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--rev", default="HEAD", help="revision to compare against (default HEAD)")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     p.add_argument("--seed", type=int, default=1, help="pair i runs seed + i on both sides")
     p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--pairs", type=int, default=6)
+    p.add_argument("--pairs", type=int, default=10)
     args = p.parse_args(argv)
 
-    runs = {"base": [], "change": []}
+    workloads = args.workload.split(",")
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         base = Path(tmp)
         export_revision(args.rev, base)
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = [("base", base), ("change", ROOT)]
-            for side, tree in order if i % 2 == 0 else order[::-1]:
-                runs[side].append(bench(tree, args.workload, seed, args.seconds))
-            base_s, change_s = runs["base"][-1]["solve_s"], runs["change"][-1]["solve_s"]
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: solve_s {args.rev} {base_s:.4g} s, "
-                  f"working tree {change_s:.4g} s", flush=True)
-
-    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, median [q1, q3]")
-    for name in runs["base"][0]:
-        for side, label in (("base", args.rev), ("change", "working tree")):
-            print(f"  {name:16s} {label:14s} {summary([r[name] for r in runs[side]])}")
-    wins = sum(c["solve_s"] < b["solve_s"] for b, c in zip(runs["base"], runs["change"]))
-    print(f"working tree faster on solve_s in {wins} of {args.pairs} pairs")
+        for workload in workloads:
+            runs = {"base": [], "change": []}
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = [("base", base), ("change", ROOT)]
+                for side, tree in order if i % 2 == 0 else order[::-1]:
+                    runs[side].append(bench(tree, workload, seed, args.seconds))
+                base_s, change_s = runs["base"][-1]["solve_s"], runs["change"][-1]["solve_s"]
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: solve_s {args.rev} {base_s:.4g} s, "
+                      f"working tree {change_s:.4g} s", flush=True)
+            report(workload, runs, args.rev, args.pairs, args.seconds)
     return 0
 
 

@@ -313,6 +313,7 @@ class ShellTraceTable:
         ))
         self._mu, self._beta, self._rows = np.array(mu), np.array(beta), np.array([ih0])
         self._family, self._traces = None, {}  # traces of one family, by max_shell
+        self._roots = np.empty(0)  # sqrt(m/(m+1)) at odd m, shared by all families
 
     def beam_factor(self, n: int, mmax: int) -> np.ndarray:
         """normalized_hermite_beam_sequence(w_n, w0, d, mmax) of family n."""
@@ -327,28 +328,53 @@ class ShellTraceTable:
             self._rows, self._first, col = rows, n, 0
         return self._rows[: mmax + 1, col]
 
+    def _centered_factor_sq(self, max_shell: int) -> np.ndarray:
+        """Squared centered (y) factor of the family in hand for orders
+        0..max_shell, without its numerically dead tail.
+
+        Odd orders vanish and the recurrence multiplies each even order by
+        -(beta sqrt(m/(m+1))), m odd; cumprod does the same products in the
+        same order, and continuing it from its last value changes no earlier
+        one.  |beta| < 1, so order 0 is the largest and the dead-tail cut does
+        not move as the factor grows: once it is found, growth stops.
+        """
+        if self._jh2_end is None and self._jh2_size < max_shell:
+            # the next order, odd, and one past the last even order up to max_shell
+            start, end = self._jh2_size, max_shell + 1 - max_shell % 2
+            if len(self._roots) < max_shell // 2:
+                m = np.arange(1, max_shell, 2, dtype=float)
+                self._roots = np.sqrt(m / (m + 1.0))
+            if len(self._jh2) < end:
+                jh2 = np.zeros(2 * end)  # odd orders stay 0
+                jh2[:start] = self._jh2[:start]
+                self._jh2 = jh2
+            steps = -(self._jh_beta * self._roots[start // 2 : max_shell // 2])
+            steps[0] *= self._jh_last
+            grown = np.cumprod(steps)
+            self._jh_last = grown[-1]
+            new = self._jh2[start + 1 : end : 2]
+            np.square(grown, out=new)
+            self._jh2_size = end
+            # the factor decays geometrically; dropping its dead tail turns the
+            # O(s^2) convolution into O(s * support)
+            if new[-1] <= self._jh2_live:
+                self._jh2_end = start + 2 * np.count_nonzero(new > self._jh2_live)
+        end = max_shell + 1 - max_shell % 2
+        return self._jh2[: end if self._jh2_end is None else min(end, self._jh2_end)]
+
     def traces(self, n: int, max_shell: int) -> np.ndarray:
         """Shell traces of family n for s = 0..max_shell (kg^-1), read-only."""
         if n != self._family:
-            self._family, self._traces = n, {}
-        if max_shell not in self._traces:
             wn2 = acoustic_waist_sq(self.geometry, n)
-            _, beta, jh0 = _beam_factor_start(math.sqrt(wn2), self.beam.waist, 0.0)
-            # centered y-factor: odd orders vanish and the recurrence multiplies
-            # each even order by -(beta sqrt(m/(m+1))), m odd; cumprod does the
-            # same products in the same order
-            m = np.arange(1, max_shell, 2, dtype=float)
-            jh2 = np.zeros(max_shell + 1)
-            jh2[::2] = np.cumprod(np.concatenate(([jh0], -(beta * np.sqrt(m / (m + 1.0)))))) ** 2
-            # it decays geometrically; dropping its numerically dead tail turns
-            # the O(s^2) convolution into O(s * support)
-            jmax = jh2.max()
-            if jmax > 0.0:
-                live = np.nonzero(jh2 > jmax * 1e-40)[0]
-                jh2 = jh2[: live[-1] + 1]
-            conv = np.convolve(self.beam_factor(n, max_shell) ** 2, jh2)[: max_shell + 1]
+            _, self._jh_beta, jh0 = _beam_factor_start(math.sqrt(wn2), self.beam.waist, 0.0)
+            self._family, self._traces = n, {}
+            self._jh2, self._jh_last = np.array([jh0 * jh0]), jh0
+            self._jh2_size, self._jh2_end, self._jh2_live = 1, None, jh0 * jh0 * 1e-40
             rho = self.geometry.material.density
-            out = (4.0 * wn2 / (math.pi**2 * self.beam.waist**4 * rho * self.geometry.thickness)) * conv
+            self._scale = 4.0 * wn2 / (math.pi**2 * self.beam.waist**4 * rho * self.geometry.thickness)
+        if max_shell not in self._traces:
+            conv = np.convolve(self.beam_factor(n, max_shell) ** 2, self._centered_factor_sq(max_shell))
+            out = self._scale * conv[: max_shell + 1]
             out.flags.writeable = False
             self._traces[max_shell] = out
         return self._traces[max_shell]

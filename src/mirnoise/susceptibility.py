@@ -236,20 +236,76 @@ def _chi_centered(geometry, beam, omega, phi, policy):
 
 
 def _shell_tail_estimate(abs_terms):
-    """Geometric extrapolation of the remaining shells from the last few computed.
+    """Geometric extrapolation of the remaining shells from the last few
+    computed, one estimate per row of abs_terms.
 
     Strides over four shells to average out the even/odd coupling oscillation;
-    returns inf while the shell weights are still growing (the enumeration has
-    not passed the coupling peak yet).
+    inf while the shell weights are still growing (the enumeration has not
+    passed the coupling peak yet), and inf when fewer than five shells leave
+    no stride to extrapolate from.
     """
-    last = abs_terms[-1]
-    ref = abs_terms[-5]
-    if last == 0.0 and ref == 0.0:
-        return 0.0
-    if ref <= 0.0 or last >= ref:
-        return float("inf")
-    ratio = min((last / ref) ** 0.25, 0.999)
-    return last * ratio / (1.0 - ratio)
+    if abs_terms.shape[1] < 5:
+        return [math.inf] * len(abs_terms)
+    tails = []
+    for last, ref in zip(abs_terms[:, -1].tolist(), abs_terms[:, -5].tolist()):
+        if last == 0.0 and ref == 0.0:
+            tails.append(0.0)
+        elif ref <= 0.0 or last >= ref:
+            tails.append(math.inf)
+        else:
+            ratio = min((last / ref) ** 0.25, 0.999)
+            tails.append(last * ratio / (1.0 - ratio))
+    return tails
+
+
+def _offaxis_family(table, n, om2, shell_cap, w2, phi, totals, policy):
+    """Family n's (kept sum, tail estimate, shell count) for each row of a
+    frequency grid: omega^2 in w2, loss angles in phi and the running totals
+    over the lower families in totals.  om2(smax) gives the family's Omega^2
+    up to shell smax.  phi is None for the one zero-frequency row, whose
+    terms stay real.
+
+    Every row takes the first 64 shells; the rows whose tail misses their
+    target go on together to the next level, of twice as many shells.  The
+    shell axis is numpy's; the few numbers per row (tail, target, cut) are
+    Python scalars, which cost less than numpy calls on short rows.
+    """
+    found = [None] * len(totals)
+    todo, smax = list(range(len(totals))), 64
+    while todo:
+        smax = min(smax, shell_cap)
+        traces = table.traces(n, smax)
+        om2_s = om2(smax)
+        if phi is None:
+            terms = abs_terms = (traces / om2_s)[None]
+        else:
+            terms = traces / (om2_s - w2[:, None] - 1j * om2_s * phi[:, None])
+            abs_terms = np.abs(terms)
+        sums = np.add.reduce(terms, axis=1).tolist()
+        targets = [policy.epsilon * abs(totals[k] + s) / (2.0 * policy.n_max) for k, s in zip(todo, sums)]
+        tails = _shell_tail_estimate(abs_terms)
+        done = [smax >= shell_cap or tail <= target for tail, target in zip(tails, targets)]
+        fin = [i for i, d in enumerate(done) if d]
+        if fin:
+            sel = slice(None) if len(fin) == len(todo) else fin
+            # trim: keep the smallest shell prefix whose dropped remainder still
+            # meets the per-family target, so the summand count tracks epsilon
+            remainder = np.zeros((len(fin), smax + 1))
+            remainder[:, :-1] = np.cumsum(abs_terms[sel, :0:-1], axis=1)[:, ::-1]
+            remainder += np.array([[tails[i]] for i in fin])
+            firsts = (remainder <= np.array([[targets[i]] for i in fin])).argmax(axis=1).tolist()
+            for i, row, left, first in zip(fin, terms[sel], remainder, firsts):
+                s = first if tails[i] <= targets[i] else smax
+                # each kept prefix is summed on its own: padding would reorder it
+                found[todo[i]] = np.add.reduce(row[: s + 1]).item(), left[s].item(), s + 1
+            if len(fin) == len(todo):
+                break
+            still = [i for i, d in enumerate(done) if not d]
+            todo = [todo[i] for i in still]
+            if phi is not None:
+                w2, phi = w2[still], phi[still]
+        smax *= 2
+    return found
 
 
 def _chi_offaxis(geometry, beam, omegas, phis, policy):
@@ -261,62 +317,54 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
     (sine modes vanish identically).  modes_used counts these shell summands.
     The per-family tail is an extrapolated estimate, not a bound.  Families
-    run outermost, so each family's shell traces serve every omega.
+    run outermost, so each family's shell traces serve every omega; within a
+    family the omegas are the rows of one (omega x shell) array per level.
     """
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     shell_cap = min(2 * policy.p_max + policy.l_max, 60_000)
     table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
+    shells = np.arange(1.0, shell_cap + 2.0)  # s + 1
 
-    totals = [0.0 if omega == 0.0 else 0.0 + 0.0j for omega in omegas]
-    tails = [0.0] * len(omegas)
-    per_n = [[] for _ in omegas]
-    modes = [0] * len(omegas)
+    # rows: one real row for omega = 0, however often the grid holds it (its
+    # rows would all be alike), then a complex row for every other omega
+    nonzero = [k for k, omega in enumerate(omegas) if omega != 0.0]
+    z = int(len(nonzero) < len(omegas))
+    row_of = [0] * len(omegas)
+    for r, k in enumerate(nonzero, start=z):
+        row_of[k] = r
+    w2 = np.array([omegas[k] * omegas[k] for k in nonzero])
+    phi = np.array([phis[k] for k in nonzero], dtype=float)
+    groups = [g for g in ((range(z), None, None), (range(z, z + len(nonzero)), w2, phi)) if len(g[0])]
+    totals = [0.0] * z + [0.0 + 0.0j] * len(nonzero)
+    tails = [0.0] * len(totals)
+    modes = [0] * len(totals)
+    per_n = [[] for _ in totals]
 
     for n in range(1, policy.n_max + 1):
-        for k, (omega, phi) in enumerate(zip(omegas, phis)):
-            at_zero = omega == 0.0
-            smax = 64
-            while True:
-                smax = min(smax, shell_cap)
-                traces = table.traces(n, smax)
-                s_idx = np.arange(smax + 1, dtype=float)
-                om2 = om_m2 * (n * n + curv * n * (s_idx + 1.0))
-                if at_zero:
-                    cterms = traces / om2
-                    abs_terms = cterms
-                else:
-                    den = om2 - omega * omega - 1j * om2 * phi
-                    cterms = traces / den
-                    abs_terms = np.abs(cterms)
-                tail_beyond = _shell_tail_estimate(abs_terms)
-                target = policy.epsilon * abs(totals[k] + cterms.sum()) / (2.0 * policy.n_max)
-                if tail_beyond <= target or smax >= shell_cap:
-                    break
-                smax *= 2
-            # trim: keep the smallest shell prefix whose dropped remainder still
-            # meets the per-family target, so the summand count tracks epsilon
-            remainder = np.cumsum(abs_terms[::-1])[::-1]
-            remainder = np.append(remainder[1:], 0.0) + tail_beyond
-            s_stop = int(np.argmax(remainder <= target)) if remainder[-1] <= target else smax
-            s_n = complex(cterms[: s_stop + 1].sum()) if not at_zero else float(cterms[: s_stop + 1].sum())
-            tail_n = float(remainder[s_stop])
-            # one summand per degenerate shell; each shell trace folds in its
-            # s//2 + 1 coupled cosine modes analytically
-            modes[k] += s_stop + 1
-            if modes[k] > policy.max_modes:
+        def om2(smax):  # Omega^2 of shells 0..smax
+            return om_m2 * (n * n + curv * n * shells[: smax + 1])
+
+        sums, tails_n = [None] * len(totals), [None] * len(totals)
+        for rows, w2, phi in groups:
+            found = _offaxis_family(table, n, om2, shell_cap, w2, phi, totals[rows.start : rows.stop], policy)
+            for r, (s_n, tail_n, count) in zip(rows, found):
+                # one summand per degenerate shell; each shell trace folds in
+                # its s//2 + 1 coupled cosine modes analytically
+                sums[r], tails_n[r], modes[r] = s_n, tail_n, modes[r] + count
+        for k, r in enumerate(row_of):
+            if modes[r] > policy.max_modes:
                 raise BudgetExceededError(
                     f"mode budget {policy.max_modes} exhausted at n={n}",
-                    partial=_result(totals[k] + s_n, omega, modes[k], math.inf, True, per_n[k], policy),
+                    partial=_result(totals[r] + sums[r], omegas[k], modes[r], math.inf, True, per_n[r], policy),
                 )
-            totals[k] += s_n
-            tails[k] += tail_n
-            per_n[k].append(s_n)
-    return [
-        _result(total, omega, used, tail_abs, True, sums, policy)
-        for total, omega, used, tail_abs, sums in zip(totals, omegas, modes, tails, per_n)
-    ]
+        for r, s_n in enumerate(sums):
+            totals[r] += s_n
+            tails[r] += tails_n[r]
+            per_n[r].append(s_n)
+    return [_result(totals[r], omega, modes[r], tails[r], True, per_n[r], policy)
+            for omega, r in zip(omegas, row_of)]
 
 
 def effective_susceptibility_grid(

@@ -188,44 +188,52 @@ def _mode_count_rows(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
-    """All (n, p) zero-frequency terms down to a negligibility floor."""
+    """All (n, p) zero-frequency terms down to a negligibility floor, as flat
+    arrays (terms, n, p) in ascending n, then p.
+
+    Each family's run of p is one stretch of flat arrays that hold the
+    family's values repeated along it, so many families are built at once.
+    """
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     w02 = beam.waist * beam.waist
-    rho = geometry.material.density
-    h0 = geometry.thickness
-
-    top = None
-    per_n = []
-    for n in range(1, n_max + 1):
-        wn2 = acoustic_waist_sq(geometry, n)
-        mass = (math.pi / 4.0) * rho * h0 * wn2
-        c = 2.0 * wn2 / (2.0 * wn2 + w02)
-        q2 = ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)) ** 2
-        head = c * c / (mass * om_m2 * (n * n + curv * n))
-        if top is None:
-            top = head
-        floor = top * floor_rel
-        if head < floor:
-            per_n.append((n, np.empty(0), np.empty(0, dtype=int)))
-            continue
-        # p count from pure geometric decay (denominator growth only helps)
-        if q2 > 0.0:
-            count = int(math.log(floor / head) / math.log(q2)) + 2 if q2 < 1 else 10**6
-        else:
-            count = 1
-        p = np.arange(count, dtype=float)
-        ovl2 = (c * c) * q2**p
-        om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
-        terms = ovl2 / (mass * om2)
+    n = np.arange(1, n_max + 1)
+    wn2 = acoustic_waist_sq(geometry, n.astype(float))
+    mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
+    c = 2.0 * wn2 / (2.0 * wn2 + w02)
+    # Python's scalar pow and log: numpy's vector ones can differ in the last bit
+    q2 = [q**2 for q in ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)).tolist()]
+    head = (c * c / (mass * om_m2 * (n * n + curv * n))).tolist()
+    floor = head[0] * floor_rel
+    # p count from pure geometric decay (denominator growth only helps)
+    counts = np.array([
+        0 if head_n < floor
+        else 1 if q2_n <= 0.0
+        else int(math.log(floor / head_n) / math.log(q2_n)) + 2 if q2_n < 1 else 10**6
+        for head_n, q2_n in zip(head, q2)
+    ])
+    per_family = (n, c * c, np.array(q2), n * n, curv * n, mass)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    parts, lo = [], 0
+    while lo < n_max:
+        # families lo..hi-1: one family or more, up to about 2^15 terms, so
+        # that the temporaries stay in cache
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + 2**15, side="right")))
+        n_k, c2, q2_k, nn, cn, mass_k = (np.repeat(a[lo:hi], counts[lo:hi]) for a in per_family)
+        p = np.arange(len(n_k)) - np.repeat(starts[lo:hi] - starts[lo], counts[lo:hi])
+        terms = c2 * q2_k ** p.astype(float)  # the overlap^2, c^2 q^(2p)
+        terms /= mass_k * (om_m2 * (nn + cn * (2.0 * p + 1.0)))
         keep = terms >= floor
-        per_n.append((n, terms[keep], p[keep].astype(int)))
-    return per_n
+        parts.append((terms[keep], n_k[keep], p[keep]))
+        lo = hi
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     """All (n, shell) zero-frequency terms of a displaced beam down to a floor
-    relative to the largest term of family 1's first 64 shells."""
+    relative to the largest term of family 1's first 64 shells, as flat arrays
+    (terms, n, shell) in ascending n, then shell."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
@@ -243,8 +251,8 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
                 break
             smax *= 2
         s = np.nonzero(terms >= top * floor_rel)[0]
-        per_n.append((n, terms[s], s))
-    return per_n
+        per_n.append((terms[s], np.full(len(s), n), s))
+    return tuple(np.concatenate(parts) for parts in zip(*per_n))
 
 
 def convergence_study(
@@ -270,10 +278,8 @@ def convergence_study(
     check_beam_on_mirror(beam, geometry)
 
     centered = beam.offset == 0.0
-    pool = (_centered_term_pool if centered else _shell_term_pool)(geometry, beam, n_max)
-    terms = np.concatenate([t for _, t, _ in pool])
-    n_ids = np.concatenate([np.full(len(t), n) for n, t, _ in pool])
-    sub_ids = np.concatenate([i for _, _, i in pool])
+    pool = _centered_term_pool if centered else _shell_term_pool
+    terms, n_ids, sub_ids = pool(geometry, beam, n_max)
     # off axis the grains are degenerate shells of s//2 + 1 (cosine) modes
     counts = np.ones(len(terms), dtype=int) if centered else sub_ids // 2 + 1
     order = np.lexsort((sub_ids, n_ids, -terms))

@@ -284,6 +284,20 @@ def test_shell_trace_table_equals_scalar_oracle(geo, waist, offset):
         table.beam_factor(7, 10)
 
 
+def test_shell_trace_table_grows_centered_factor_past_its_support(geo):
+    # w_n^2 < w0^2 / 2, so beta_n < 0 and the centered factor alternates in
+    # sign; its live support ends at order 362, so the later requests ask for
+    # more shells than it has, and the odd ones end on a vanishing order
+    beam = BeamSpec(waist=0.055, offset=0.03)
+    n = 50
+    assert acoustic_waist_sq(geo, n) < beam.waist**2 / 2
+    table = ShellTraceTable(geo, beam, range(1, 201))
+    for smax in (64, 128, 129, 300, 361, 1000, 2001, 200):
+        assert np.array_equal(table.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
+    for smax in (64, 129, 4000):  # the next family starts its factor afresh
+        assert np.array_equal(table.traces(51, smax), _scalar_shell_traces_oracle(geo, beam, 51, smax))
+
+
 @pytest.mark.parametrize("mmax", [0, 1, 2, 60, 2048])
 def test_normalized_sequence_equals_scalar_oracle(mmax):
     for d in (0.0, 0.04):

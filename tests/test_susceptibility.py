@@ -14,7 +14,7 @@ from mirnoise.modes import (
     fundamental_frequency,
     mode_data,
 )
-from mirnoise.overlap import BeamSpec, overlap_centered
+from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SusceptibilityResult,
@@ -437,3 +437,189 @@ def test_centered_budget_overrun_matches_oracle(geo, waist, max_modes):
 def test_centered_sum_matches_oracle_property(thickness, waist, epsilon, omega):
     geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
     assert_matches_oracle(geometry, BeamSpec(waist=waist), omega, TruncationPolicy(epsilon=epsilon))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the off-axis modal sum: the per-(family, omega) loop that the
+# (omega x shell) array sum replaced, kept verbatim.  The library must
+# reproduce its results, budget errors and partial results exactly.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_shell_tail_estimate(abs_terms):
+    last = abs_terms[-1]
+    ref = abs_terms[-5]
+    if last == 0.0 and ref == 0.0:
+        return 0.0
+    if ref <= 0.0 or last >= ref:
+        return float("inf")
+    ratio = min((last / ref) ** 0.25, 0.999)
+    return last * ratio / (1.0 - ratio)
+
+
+def _oracle_offaxis_result(total, omega, modes_used, tail_abs, per_n, policy):
+    tail_rel = tail_abs / (abs(total) if total else 1.0)
+    return SusceptibilityResult(
+        value=complex(total),
+        frequency=omega,
+        modes_used=modes_used,
+        tail_bound=tail_rel,
+        tail_is_estimate=True,
+        converged=tail_rel <= policy.epsilon,
+        per_n=tuple(per_n),
+    )
+
+
+def _oracle_chi_offaxis(geometry, beam, omegas, phis, policy):
+    om_m = fundamental_frequency(geometry)
+    om_m2 = om_m * om_m
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    shell_cap = min(2 * policy.p_max + policy.l_max, 60_000)
+    table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
+
+    totals = [0.0 if omega == 0.0 else 0.0 + 0.0j for omega in omegas]
+    tails = [0.0] * len(omegas)
+    per_n = [[] for _ in omegas]
+    modes = [0] * len(omegas)
+
+    for n in range(1, policy.n_max + 1):
+        for k, (omega, phi) in enumerate(zip(omegas, phis)):
+            at_zero = omega == 0.0
+            smax = 64
+            while True:
+                smax = min(smax, shell_cap)
+                traces = table.traces(n, smax)
+                s_idx = np.arange(smax + 1, dtype=float)
+                om2 = om_m2 * (n * n + curv * n * (s_idx + 1.0))
+                if at_zero:
+                    cterms = traces / om2
+                    abs_terms = cterms
+                else:
+                    den = om2 - omega * omega - 1j * om2 * phi
+                    cterms = traces / den
+                    abs_terms = np.abs(cterms)
+                tail_beyond = _oracle_shell_tail_estimate(abs_terms)
+                target = policy.epsilon * abs(totals[k] + cterms.sum()) / (2.0 * policy.n_max)
+                if tail_beyond <= target or smax >= shell_cap:
+                    break
+                smax *= 2
+            remainder = np.cumsum(abs_terms[::-1])[::-1]
+            remainder = np.append(remainder[1:], 0.0) + tail_beyond
+            s_stop = int(np.argmax(remainder <= target)) if remainder[-1] <= target else smax
+            s_n = complex(cterms[: s_stop + 1].sum()) if not at_zero else float(cterms[: s_stop + 1].sum())
+            tail_n = float(remainder[s_stop])
+            modes[k] += s_stop + 1
+            if modes[k] > policy.max_modes:
+                raise BudgetExceededError(
+                    f"mode budget {policy.max_modes} exhausted at n={n}",
+                    partial=_oracle_offaxis_result(totals[k] + s_n, omega, modes[k], math.inf, per_n[k], policy),
+                )
+            totals[k] += s_n
+            tails[k] += tail_n
+            per_n[k].append(s_n)
+    return [
+        _oracle_offaxis_result(total, omega, used, tail_abs, sums, policy)
+        for total, omega, used, tail_abs, sums in zip(totals, omegas, modes, tails, per_n)
+    ]
+
+
+def _grid_outcome(chi, *args):
+    """A grid's results with the Python types of their fields, or its budget
+    error's message, partial result and the partial's field types."""
+    try:
+        results = chi(*args)
+    except BudgetExceededError as err:
+        p = err.partial
+        return "budget", str(err), p, [type(v) for v in (p.value, p.modes_used, p.tail_bound, p.converged)]
+    types = [
+        (type(r.value), type(r.modes_used), type(r.tail_bound), type(r.converged), [type(s) for s in r.per_n])
+        for r in results
+    ]
+    return "ok", results, types
+
+
+def assert_offaxis_matches_oracle(geometry, beam, omegas, policy, loss_angle=1e-6):
+    phis = [loss_angle if omega > 0 else 0.0 for omega in omegas]
+    expected = _grid_outcome(_oracle_chi_offaxis, geometry, beam, omegas, phis, policy)
+    got = _grid_outcome(effective_susceptibility_grid, geometry, beam, omegas, loss_angle, policy)
+    assert got == expected
+
+
+#: 0 first and in the middle, a repeated omega, across the 2.7e5 rad/s resonance
+OFFAXIS_GRIDS = ((0.0, 2e2, 2.6e5, 2.7e5, 2.7e5, 2.8e5, 1e6), (3e4, 0.0, 2.7e5, 0.0))
+OFFAXIS_POLICIES = (
+    TruncationPolicy(),
+    TruncationPolicy(n_max=1),
+    TruncationPolicy(n_max=50),
+    TruncationPolicy(epsilon=1e-6, n_max=50),
+    TruncationPolicy(p_max=2, l_max=3),  # shell cap 7: every level is cut short
+)
+
+
+@pytest.mark.parametrize(
+    "thickness, waist, offset",
+    [
+        (0.04, 0.02, 0.01),
+        (0.04, 0.055, 0.185),
+        (0.07, 0.005, 0.03),
+        (0.07, 0.02, 0.11),
+        (0.07, 0.055, 0.035),
+        (0.12, 0.01, 0.1),
+        (0.12, 0.03, 0.02),
+    ],
+)
+def test_offaxis_sum_matches_oracle(thickness, waist, offset):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=offset)
+    for policy in OFFAXIS_POLICIES:
+        for omegas in OFFAXIS_GRIDS:
+            assert_offaxis_matches_oracle(geometry, beam, list(omegas), policy)
+
+
+def test_offaxis_narrow_beam_matches_oracle(geo):
+    # w0 = 1 mm: family 1 climbs through the levels up to 16384 shells
+    policy = TruncationPolicy(n_max=1, epsilon=0.01)
+    for omegas in OFFAXIS_GRIDS:
+        assert_offaxis_matches_oracle(geo, BeamSpec(waist=0.001, offset=0.05), list(omegas), policy)
+
+
+@pytest.mark.parametrize("max_modes", [1, 64, 65, 3_000, 6_005])  # the grid needs 5,883-7,695
+def test_offaxis_budget_overrun_matches_oracle(geo, max_modes):
+    beam = BeamSpec(waist=0.02, offset=0.03)
+    policy = TruncationPolicy(max_modes=max_modes)
+    for omegas in ([0.0], [2.7e5], *OFFAXIS_GRIDS):
+        assert_offaxis_matches_oracle(geo, beam, list(omegas), policy)
+    with pytest.raises(BudgetExceededError):
+        effective_susceptibility_grid(geo, beam, list(OFFAXIS_GRIDS[0]), 1e-6, policy)
+
+
+@given(
+    waist=st.floats(min_value=0.005, max_value=0.055),
+    offset=st.floats(min_value=1e-3, max_value=0.2),
+    epsilon=st.floats(min_value=1e-6, max_value=0.5),
+    omegas=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=2e6)), min_size=1, max_size=5),
+)
+@settings(max_examples=15, deadline=None)
+def test_offaxis_sum_matches_oracle_property(waist, offset, epsilon, omegas):
+    geometry = solve_geometry(20.0, 0.07, FUSED_SILICA)
+    offset = min(offset, 0.95 * geometry.diameter / 2.0 - waist)  # keep the beam on the face
+    policy = TruncationPolicy(epsilon=epsilon, n_max=40)
+    assert_offaxis_matches_oracle(geometry, BeamSpec(waist=waist, offset=offset), omegas, policy)
+
+
+@pytest.mark.parametrize("p_max, l_max", [(1, 1), (0, 0)])
+def test_offaxis_sum_with_too_few_shells_to_extrapolate(geo, p_max, l_max):
+    # 4 or 1 shells per family leave no stride for the tail estimate: the sum
+    # keeps them all and reports itself unconverged instead of failing
+    beam = BeamSpec(waist=0.02, offset=0.03)
+    res = effective_susceptibility(geo, beam, 0.0, None, TruncationPolicy(p_max=p_max, l_max=l_max))
+    smax = 2 * p_max + l_max
+    om_m2 = fundamental_frequency(geo) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geo.thickness / geo.curvature_radius)
+    table = ShellTraceTable(geo, beam, range(1, 201))
+    expected = 0.0
+    for n in range(1, 201):
+        expected += float((table.traces(n, smax) / (om_m2 * (n * n + curv * n * (np.arange(smax + 1.0) + 1.0)))).sum())
+    assert res.value == expected
+    assert res.modes_used == 200 * (smax + 1)
+    assert res.tail_bound == math.inf and not res.converged

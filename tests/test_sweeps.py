@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import ModeIndex, mode_data
+from mirnoise.modes import ModeIndex, acoustic_waist_sq, fundamental_frequency, mode_data
 from mirnoise.overlap import BeamSpec, overlap_centered
 from mirnoise.susceptibility import TruncationPolicy, effective_susceptibility
 from mirnoise.sweeps import (
     CSV_HEADER,
     CompareReport,
     SweepSpec,
+    _centered_term_pool,
     compare_report,
     convergence_study,
     run_sweep,
@@ -158,3 +159,52 @@ def test_compare_report_refuses_other_waists(geo):
     assert report.cylindrical_reference is None
     assert report.improvement_ratio is None
     assert report.chi0 > 0
+
+
+def _oracle_centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
+    """The per-family loop that the all-families pool replaced, kept verbatim."""
+    om_m2 = fundamental_frequency(geometry) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    w02 = beam.waist * beam.waist
+    rho = geometry.material.density
+    h0 = geometry.thickness
+
+    top = None
+    per_n = []
+    for n in range(1, n_max + 1):
+        wn2 = acoustic_waist_sq(geometry, n)
+        mass = (math.pi / 4.0) * rho * h0 * wn2
+        c = 2.0 * wn2 / (2.0 * wn2 + w02)
+        q2 = ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)) ** 2
+        head = c * c / (mass * om_m2 * (n * n + curv * n))
+        if top is None:
+            top = head
+        floor = top * floor_rel
+        if head < floor:
+            per_n.append((n, np.empty(0), np.empty(0, dtype=int)))
+            continue
+        # p count from pure geometric decay (denominator growth only helps)
+        if q2 > 0.0:
+            count = int(math.log(floor / head) / math.log(q2)) + 2 if q2 < 1 else 10**6
+        else:
+            count = 1
+        p = np.arange(count, dtype=float)
+        ovl2 = (c * c) * q2**p
+        om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
+        terms = ovl2 / (mass * om2)
+        keep = terms >= floor
+        per_n.append((n, terms[keep], p[keep].astype(int)))
+    return per_n
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+def test_centered_term_pool_matches_oracle(thickness):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    for waist in (0.001, 0.005, 0.02, 0.06):
+        for n_max in (1, 7, 200):
+            pool = _oracle_centered_term_pool(geometry, BeamSpec(waist=waist), n_max)
+            terms, n_ids, p_ids = _centered_term_pool(geometry, BeamSpec(waist=waist), n_max)
+            assert np.array_equal(terms, np.concatenate([t for _, t, _ in pool]))
+            assert np.array_equal(n_ids, np.concatenate([np.full(len(t), n) for n, t, _ in pool]))
+            assert np.array_equal(p_ids, np.concatenate([p for _, _, p in pool]))
+            assert n_ids.dtype.kind == p_ids.dtype.kind == "i"
