@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A/B benchmark: a committed revision against the working tree, in alternating pairs.
 
-    python3 scripts/ab_bench.py --rev HEAD --workload centered,offaxis,spectrum --seed 1 --seconds 30
+    python3 scripts/ab_bench.py --rev HEAD --workload centered,offaxis,spectrum --seed 1 --seconds 30 \
+        --json BENCH_<short-sha>.json
 
 The revision's committed files are exported into a temporary directory with
 ``git archive``, so nothing is registered with git and an interrupted run
@@ -12,13 +13,18 @@ alternates from pair to pair, so a drift in machine speed hits both sides
 alike.  Several workloads, comma-separated, run one after another.  The
 report gives, per workload, the median [q1, q3] of every end-to-end metric
 on each side and the number of pairs in which the working tree had the lower
-solve_s.  Standard library only; perfbench/ is run, never imported.
+solve_s.  ``--json PATH`` also writes the whole run as one record: both
+revisions, the machine, the settings, every pair's metrics, and per workload
+the median and quartiles of each metric on each side and the solve_s win
+count.  Standard library only; perfbench/ is run, never imported.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -53,22 +59,48 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: metric["value"] for name, metric in report["metrics"].items()}
 
 
-def summary(values: list[float]) -> str:
-    """median [q1, q3] of the values."""
+def quartiles(values: list[float]) -> dict:
+    """q1, median and q3 of the values (all three equal for a single value)."""
     if len(values) < 2:
-        return f"{values[0]:.6g}"
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+    return {"q1": q1, "median": q2, "q3": q3}
 
 
-def report(workload: str, runs: dict, rev: str, pairs: int, seconds: float) -> None:
+def summarize(runs: dict) -> dict:
+    """Per metric and side, the quartiles over the pairs; and the solve_s win count."""
+    stats = {name: {side: quartiles([r[name] for r in runs[side]]) for side in ("base", "change")}
+             for name in runs["base"][0]}
+    wins = sum(c["solve_s"] < b["solve_s"] for b, c in zip(runs["base"], runs["change"]))
+    return {"metrics": stats, "solve_s_wins": wins}
+
+
+def report(workload: str, summary: dict, rev: str, pairs: int, seconds: float) -> None:
     """One workload's block: median [q1, q3] per metric and side, and the win count."""
     print(f"\n{workload}, {pairs} pairs of {seconds:g} s runs, median [q1, q3]")
-    for name in runs["base"][0]:
+    for name, sides in summary["metrics"].items():
         for side, label in (("base", rev), ("change", "working tree")):
-            print(f"  {name:16s} {label:14s} {summary([r[name] for r in runs[side]])}")
-    wins = sum(c["solve_s"] < b["solve_s"] for b, c in zip(runs["base"], runs["change"]))
-    print(f"working tree faster on solve_s in {wins} of {pairs} pairs")
+            q = sides[side]
+            print(f"  {name:16s} {label:14s} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]")
+    print(f"working tree faster on solve_s in {summary['solve_s_wins']} of {pairs} pairs")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def machine() -> dict:
+    """What the runs ran on."""
+    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                           capture_output=True, text=True).stdout.strip()
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "cpu": cpu, "cpu_count": os.cpu_count(),
+            "python": platform.python_version(), "numpy": numpy}
 
 
 def main(argv=None) -> int:
@@ -78,23 +110,38 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1, help="pair i runs seed + i on both sides")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--json", metavar="PATH", help="also write the whole run as a JSON record")
     args = p.parse_args(argv)
 
     workloads = args.workload.split(",")
+    record = {
+        "base": {"rev": args.rev, "commit": git("rev-parse", args.rev)},
+        "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
+                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "machine": machine(),
+        "settings": {"workloads": workloads, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs},
+        "workloads": {},
+    }
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         base = Path(tmp)
         export_revision(args.rev, base)
         for workload in workloads:
-            runs = {"base": [], "change": []}
+            runs, pairs = {"base": [], "change": []}, []
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = [("base", base), ("change", ROOT)]
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     runs[side].append(bench(tree, workload, seed, args.seconds))
+                pairs.append({"seed": seed, "first": "base" if i % 2 == 0 else "change",
+                              "base": runs["base"][-1], "change": runs["change"][-1]})
                 base_s, change_s = runs["base"][-1]["solve_s"], runs["change"][-1]["solve_s"]
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: solve_s {args.rev} {base_s:.4g} s, "
                       f"working tree {change_s:.4g} s", flush=True)
-            report(workload, runs, args.rev, args.pairs, args.seconds)
+            summary = summarize(runs)
+            report(workload, summary, args.rev, args.pairs, args.seconds)
+            record["workloads"][workload] = {"pairs": pairs, **summary}
+            if args.json:  # rewritten after every workload, so a cut run keeps what it finished
+                Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

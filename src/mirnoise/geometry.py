@@ -19,6 +19,12 @@ from .errors import InfeasibleGeometryError
 PARAXIAL_WARNING_RATIO = 0.25
 
 
+def check_loss_angle(phi: float, context: str = "") -> None:
+    """Enforce phi in (0, 1); at phi = 0 each mode is singular at its resonance."""
+    if not 0 < phi < 1:
+        raise ValueError(f"loss angle must lie in (0, 1), got {phi}{context}")
+
+
 @dataclass(frozen=True)
 class Material:
     """Isotropic substrate material.
@@ -37,8 +43,7 @@ class Material:
             raise ValueError(f"density must be finite and positive, got {self.density}")
         if not 0 < self.sound_velocity < math.inf:
             raise ValueError(f"sound velocity must be finite and positive, got {self.sound_velocity}")
-        if not 0 < self.loss_angle < 1:
-            raise ValueError(f"loss angle must lie in (0, 1), got {self.loss_angle}")
+        check_loss_angle(self.loss_angle)
 
 
 #: fused silica, the usual substrate for gravitational-wave optics

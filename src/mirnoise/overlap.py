@@ -256,30 +256,9 @@ def overlap_offaxis(mode: ModeData, beam: BeamSpec, target_digits: int = 13) -> 
 #
 # Within one (n, shell) eigenspace, the sum of mass-normalized squared
 # overlaps is basis independent, so it can be taken in the separable
-# Hermite-Gauss basis where every factor is a stable normalized recurrence.
+# Hermite-Gauss basis, where Mehler's formula sums it in closed form.
 # This is what makes off-center susceptibility sums cheap.
 # ---------------------------------------------------------------------------
-
-
-def _beam_factor_start(wn: float, w0: float, d: float):
-    """(mu, beta, ih[0]) of normalized_hermite_beam_sequence."""
-    g = wn * wn / (w0 * w0)
-    a = 0.5 + g
-    delta = math.sqrt(2.0) * d / wn
-    mu = g * delta / a
-    beta = 1.0 - 1.0 / a
-    pref = math.exp(g * delta * delta * (g / a - 1.0)) * math.sqrt(math.pi / a)
-    return mu, beta, pref / math.pi**0.25
-
-
-def _continue_hermite(rows: np.ndarray, mu: np.ndarray, beta: np.ndarray, start: int) -> None:
-    """Fill rows[start:] (start >= 1), order m in row m and one family per column,
-    with the scalar recurrence applied elementwise: each column equals a one-family run."""
-    if start == 1 and len(rows) > 1:
-        rows[1] = mu * math.sqrt(2.0) * rows[0]
-        start = 2
-    for m in range(start - 1, len(rows) - 1):
-        rows[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * rows[m] - beta * math.sqrt(m / (m + 1.0)) * rows[m - 1]
 
 
 def normalized_hermite_beam_sequence(wn: float, w0: float, d: float, mmax: int) -> np.ndarray:
@@ -288,96 +267,109 @@ def normalized_hermite_beam_sequence(wn: float, w0: float, d: float, mmax: int) 
     ih[m] = int hhat_m(X) e^{-g (X - delta)^2} dX with hhat_m normalized;
     bounded coherent-state-like values, stable upward recurrence.
     """
-    mu, beta, ih0 = _beam_factor_start(wn, w0, d)
-    rows = np.full((mmax + 1, 1), ih0)
-    _continue_hermite(rows, np.array([mu]), np.array([beta]), 1)
-    return rows[:, 0]
+    g = wn * wn / (w0 * w0)
+    a = 0.5 + g
+    delta = math.sqrt(2.0) * d / wn
+    mu, beta = g * delta / a, 1.0 - 1.0 / a
+    ih = np.empty(mmax + 1)
+    ih[0] = math.exp(g * delta * delta * (g / a - 1.0)) * math.sqrt(math.pi / a) / math.pi**0.25
+    if mmax >= 1:
+        ih[1] = mu * math.sqrt(2.0) * ih[0]
+    for m in range(1, mmax):
+        ih[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * ih[m] - beta * math.sqrt(m / (m + 1.0)) * ih[m - 1]
+    return ih
 
 
 class ShellTraceTable:
     """shell_overlap_sq_over_mass for a range of families, one geometry and beam.
 
-    The offset (x) factors of all families still in play advance together and
-    grow by continuing from their last two orders, so growth never changes
-    earlier values.  Families are visited in ascending n; lower families'
-    rows are dropped at the next growth.  No state outlives the object.
+    The traces T_s of a family are the Cauchy product of its squared offset
+    and centered beam factors (normalized_hermite_beam_sequence), so by
+    Mehler's formula (DLMF 18.18.28)
+
+        sum_s T_s t^s = C exp(2 mu^2 t / (1 + beta t)) / (1 - beta^2 t^2),  C = T_0.
+
+    With e_s the coefficients of the exponential and d_s = e_{s+1} + beta e_s,
+    its differential equation gives, from e_0 = d_{-1} = 1 and T_{-1} = 0,
+
+        (s+1) d_s = 2 mu^2 e_s - beta (s-1) d_{s-1},   e_{s+1} = d_s - beta e_s,
+        T_{s+1} = C e_{s+1} + beta^2 T_{s-1}.
+
+    Each step contracts (|beta| < 1), so rounding errors do not grow with s,
+    as they do (~s^2 ulps) in the double-root recurrence of e_s alone.  At
+    mu = 0 every e_s past e_0 is exactly 0, and so are the odd T_s.  One numpy
+    step per shell advances every family in play; growth continues from the
+    last rows and drops lower families' columns (n is visited ascending).
     """
 
-    def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
-        self.geometry = geometry
-        self.beam = beam
-        self._first = families.start  # family of column 0
-        mu, beta, ih0 = zip(*(
-            _beam_factor_start(math.sqrt(acoustic_waist_sq(geometry, n)), beam.waist, beam.offset)
-            for n in families
-        ))
-        self._mu, self._beta, self._rows = np.array(mu), np.array(beta), np.array([ih0])
-        self._family, self._traces = None, {}  # traces of one family, by max_shell
-        self._roots = np.empty(0)  # sqrt(m/(m+1)) at odd m, shared by all families
+    _CHUNK = 256  # shells whose step coefficients are formed at once
 
-    def beam_factor(self, n: int, mmax: int) -> np.ndarray:
-        """normalized_hermite_beam_sequence(w_n, w0, d, mmax) of family n."""
+    def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
+        self._first = families.start  # family of column 0
+        wn2 = acoustic_waist_sq(geometry, np.arange(families.start, families.stop, dtype=float))
+        w02, d = beam.waist * beam.waist, beam.offset
+        g = wn2 / w02
+        self._beta = 1.0 - 1.0 / (0.5 + g)
+        self._mu2x2 = 2.0 * (g * (math.sqrt(2.0) * d / np.sqrt(wn2)) / (0.5 + g)) ** 2
+        self._beta2 = self._beta * self._beta
+        # C = c0 e^-x, the (0, 0) mode's overlap^2 / mass, underflows far off
+        # axis, though the traces sum to G(1) = c0 / (1 - beta^2): such a family
+        # runs as 2^k T_s, with 2^k C near e^-700 and 2^k G(1) below 2^1016
+        # (past x = 1400 or so, 2^k C is subnormal and loses digits)
+        c0 = 16.0 * wn2 / (math.pi * geometry.material.density * geometry.thickness * (w02 + 2.0 * wn2) ** 2)
+        x = 4.0 * d * d / (w02 + 2.0 * wn2)
+        k = np.maximum(np.floor(np.minimum((x - 700.0) / math.log(2.0),
+                                           1016.0 - np.log2(c0 / (1.0 - self._beta2)))), 0.0)
+        self._unscale = np.exp2(-k) if k.any() else None
+        c = c0 * np.exp(k * math.log(2.0) - x)
+        # row s + 1 holds T_s (times 2^k), row 0 T_{-1} = 0; the state is C e_s, C d_{s-1}
+        self._rows = np.array([np.zeros_like(c), c])
+        self._e, self._d = c.copy(), c.copy()
+
+    def block(self, n: int, max_shell: int) -> np.ndarray:
+        """Shell traces (kg^-1) of families n, n+1, ..., one per column, for
+        s = 0..max_shell, read-only."""
         col = n - self._first
         if col < 0:
             raise ValueError(f"family {n} was already dropped (table starts at {self._first})")
-        if mmax >= len(self._rows):
-            rows = np.empty((mmax + 1, self._rows.shape[1] - col))
-            rows[: len(self._rows)] = self._rows[:, col:]
-            self._mu, self._beta = self._mu[col:], self._beta[col:]
-            _continue_hermite(rows, self._mu, self._beta, len(self._rows))
-            self._rows, self._first, col = rows, n, 0
-        return self._rows[: mmax + 1, col]
-
-    def _centered_factor_sq(self, max_shell: int) -> np.ndarray:
-        """Squared centered (y) factor of the family in hand for orders
-        0..max_shell, without its numerically dead tail.
-
-        Odd orders vanish and the recurrence multiplies each even order by
-        -(beta sqrt(m/(m+1))), m odd; cumprod does the same products in the
-        same order, and continuing it from its last value changes no earlier
-        one.  |beta| < 1, so order 0 is the largest and the dead-tail cut does
-        not move as the factor grows: once it is found, growth stops.
-        """
-        if self._jh2_end is None and self._jh2_size < max_shell:
-            # the next order, odd, and one past the last even order up to max_shell
-            start, end = self._jh2_size, max_shell + 1 - max_shell % 2
-            if len(self._roots) < max_shell // 2:
-                m = np.arange(1, max_shell, 2, dtype=float)
-                self._roots = np.sqrt(m / (m + 1.0))
-            if len(self._jh2) < end:
-                jh2 = np.zeros(2 * end)  # odd orders stay 0
-                jh2[:start] = self._jh2[:start]
-                self._jh2 = jh2
-            steps = -(self._jh_beta * self._roots[start // 2 : max_shell // 2])
-            steps[0] *= self._jh_last
-            grown = np.cumprod(steps)
-            self._jh_last = grown[-1]
-            new = self._jh2[start + 1 : end : 2]
-            np.square(grown, out=new)
-            self._jh2_size = end
-            # the factor decays geometrically; dropping its dead tail turns the
-            # O(s^2) convolution into O(s * support)
-            if new[-1] <= self._jh2_live:
-                self._jh2_end = start + 2 * np.count_nonzero(new > self._jh2_live)
-        end = max_shell + 1 - max_shell % 2
-        return self._jh2[: end if self._jh2_end is None else min(end, self._jh2_end)]
+        if max_shell + 2 > len(self._rows):
+            self._grow(col, max_shell)
+            col = 0
+        out = self._rows[1 : max_shell + 2, col:]
+        if self._unscale is not None:
+            out = out * self._unscale[col:]
+        out.flags.writeable = False
+        return out
 
     def traces(self, n: int, max_shell: int) -> np.ndarray:
         """Shell traces of family n for s = 0..max_shell (kg^-1), read-only."""
-        if n != self._family:
-            wn2 = acoustic_waist_sq(self.geometry, n)
-            _, self._jh_beta, jh0 = _beam_factor_start(math.sqrt(wn2), self.beam.waist, 0.0)
-            self._family, self._traces = n, {}
-            self._jh2, self._jh_last = np.array([jh0 * jh0]), jh0
-            self._jh2_size, self._jh2_end, self._jh2_live = 1, None, jh0 * jh0 * 1e-40
-            rho = self.geometry.material.density
-            self._scale = 4.0 * wn2 / (math.pi**2 * self.beam.waist**4 * rho * self.geometry.thickness)
-        if max_shell not in self._traces:
-            conv = np.convolve(self.beam_factor(n, max_shell) ** 2, self._centered_factor_sq(max_shell))
-            out = self._scale * conv[: max_shell + 1]
-            out.flags.writeable = False
-            self._traces[max_shell] = out
-        return self._traces[max_shell]
+        return self.block(n, max_shell)[:, 0]
+
+    def _grow(self, col: int, max_shell: int) -> None:
+        """Drop the columns before col and continue the rest to max_shell."""
+        known = len(self._rows) - 1  # shells 0..known-1
+        rows = np.empty((max_shell + 2, self._rows.shape[1] - col))
+        rows[: known + 1] = self._rows[:, col:]
+        self._rows, self._first = rows, self._first + col
+        self._mu2x2, self._beta, self._beta2 = self._mu2x2[col:], self._beta[col:], self._beta2[col:]
+        if self._unscale is not None:
+            self._unscale = self._unscale[col:]
+        self._e, self._d = e, d = self._e[col:].copy(), self._d[col:].copy()
+        beta, beta2, scratch = self._beta, self._beta2, np.empty(len(e))
+        for lo in range(known - 1, max_shell, self._CHUNK):
+            # steps s -> s + 1 for s = lo, lo + 1, ...: d_s = p_s e_s - q_s d_{s-1}
+            s = np.arange(lo, min(lo + self._CHUNK, max_shell), dtype=float)[:, None]
+            p = self._mu2x2 / (s + 1.0)
+            q = beta * ((s - 1.0) / (s + 1.0))
+            for k in range(len(s)):
+                np.multiply(q[k], d, out=scratch)
+                np.multiply(p[k], e, out=d)
+                d -= scratch
+                e *= beta
+                np.subtract(d, e, out=e)
+                row = rows[lo + k + 2]
+                np.multiply(beta2, rows[lo + k], out=row)
+                row += e
 
 
 def shell_overlap_sq_over_mass(

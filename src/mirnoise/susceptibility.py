@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceededError
-from .geometry import PlanoConvexGeometry
+from .geometry import PlanoConvexGeometry, check_loss_angle
 from .modes import ModeData, acoustic_waist_sq, fundamental_frequency
 from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 
@@ -28,8 +28,7 @@ LossAngle = Union[float, Callable[[float], float]]
 
 def _loss_at(loss_angle: LossAngle, omega: float) -> float:
     phi = loss_angle(omega) if callable(loss_angle) else float(loss_angle)
-    if not 0 <= phi < 1:
-        raise ValueError(f"loss angle must lie in [0, 1), got {phi} at omega={omega}")
+    check_loss_angle(phi, f" at omega={omega}")
     return phi
 
 
@@ -121,7 +120,8 @@ def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> 
     """Lorentzian response 1/(M (Omega_n^2 - omega^2 - i Omega_n^2 phi))."""
     if omega < 0:
         raise ValueError("frequency must be non-negative")
-    phi = _loss_at(loss_angle, omega)
+    # one lossless mode (phi = 0) is singular only at its own resonance
+    phi = 0.0 if loss_angle == 0 else _loss_at(loss_angle, omega)
     om_n2 = mode.frequency * mode.frequency
     den = mode.effective_mass * complex(om_n2 - omega * omega, -om_n2 * phi)
     return 1.0 / den
@@ -313,7 +313,7 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
 
     Within a degenerate (n, 2p+l) shell the mass-normalized overlap-squared sum
     is basis independent, so it is evaluated in the separable Hermite-Gauss
-    basis (stable normalized recurrences) instead of mode by mode; each shell
+    basis (Mehler's formula, see ShellTraceTable) instead of mode by mode; each shell
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
     (sine modes vanish identically).  modes_used counts these shell summands.
     The per-family tail is an extrapolated estimate, not a bound.  Families

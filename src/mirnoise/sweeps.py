@@ -233,26 +233,27 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
 def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     """All (n, shell) zero-frequency terms of a displaced beam down to a floor
     relative to the largest term of family 1's first 64 shells, as flat arrays
-    (terms, n, shell) in ascending n, then shell."""
+    (terms, n, shell) in ascending n, then shell.  The families still above
+    the floor at their last shell take the next level (64, 128, ...) together."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
-    top = None
-    per_n = []
-    for n in range(1, n_max + 1):
-        smax = 64
-        while True:
-            traces = table.traces(n, smax)
-            om2 = om_m2 * (n * n + curv * n * (np.arange(smax + 1) + 1.0))
-            terms = traces / om2
-            if top is None:
-                top = terms.max()
-            if terms[-1] < top * floor_rel or smax >= 60_000:
-                break
-            smax *= 2
-        s = np.nonzero(terms >= top * floor_rel)[0]
-        per_n.append((terms[s], np.full(len(s), n), s))
-    return tuple(np.concatenate(parts) for parts in zip(*per_n))
+    todo = np.arange(1, n_max + 1)
+    nn, cn = (todo * todo).astype(float), curv * todo
+    smax, floor, parts = 64, None, []
+    while len(todo):
+        om2 = om_m2 * (nn[todo - 1] + cn[todo - 1] * (np.arange(smax + 1) + 1.0)[:, None])
+        terms = table.block(todo[0], smax)[:, todo - todo[0]] / om2
+        if floor is None:
+            floor = terms[:, 0].max() * floor_rel
+        done = (terms[-1] < floor) | (smax >= 60_000)
+        kept = terms[:, done].T  # a row per finished family
+        rows, s = np.nonzero(kept >= floor)
+        parts.append((kept[rows, s], todo[done][rows], s))
+        todo, smax = todo[~done], 2 * smax
+    terms, n_ids, s_ids = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(n_ids, kind="stable")
+    return terms[order], n_ids[order], s_ids[order]
 
 
 def convergence_study(

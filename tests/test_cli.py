@@ -236,3 +236,19 @@ def test_non_finite_inputs_exit_code(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi0",),
+        ("spectrum", "--points", "3"),
+        ("sweep", "--param", "mass", "--lo", "10", "--hi", "20", "--points", "2"),
+    ],
+)
+def test_zero_loss_angle_exit_code(argv, capsys):
+    # phi = 0 makes every mode's Lorentzian singular at its own resonance
+    code, out, err = run_cli(capsys, *argv, "--loss-angle", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: loss angle must lie in (0, 1), got 0.0\n"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,18 +271,123 @@ def _scalar_shell_traces_oracle(geometry, beam, n, max_shell):
     return (4.0 * wn2 / (math.pi**2 * beam.waist**4 * rho * geometry.thickness)) * conv
 
 
+def _beam_factor_start(wn, w0, d):
+    """(mu, beta, ih[0]) of normalized_hermite_beam_sequence."""
+    g = wn * wn / (w0 * w0)
+    a = 0.5 + g
+    delta = math.sqrt(2.0) * d / wn
+    mu = g * delta / a
+    beta = 1.0 - 1.0 / a
+    pref = math.exp(g * delta * delta * (g / a - 1.0)) * math.sqrt(math.pi / a)
+    return mu, beta, pref / math.pi**0.25
+
+
+def _continue_hermite(rows, mu, beta, start):
+    """Fill rows[start:] (start >= 1), order m in row m and one family per column,
+    with the scalar recurrence applied elementwise: each column equals a one-family run."""
+    if start == 1 and len(rows) > 1:
+        rows[1] = mu * math.sqrt(2.0) * rows[0]
+        start = 2
+    for m in range(start - 1, len(rows) - 1):
+        rows[m + 1] = mu * math.sqrt(2.0 / (m + 1)) * rows[m] - beta * math.sqrt(m / (m + 1.0)) * rows[m - 1]
+
+
+class _ConvolutionTraceTable:
+    """The Hermite-factor convolution table that the recurrence replaced, kept
+    verbatim as the reference."""
+
+    def __init__(self, geometry, beam, families):
+        self.geometry = geometry
+        self.beam = beam
+        self._first = families.start  # family of column 0
+        mu, beta, ih0 = zip(*(
+            _beam_factor_start(math.sqrt(acoustic_waist_sq(geometry, n)), beam.waist, beam.offset)
+            for n in families
+        ))
+        self._mu, self._beta, self._rows = np.array(mu), np.array(beta), np.array([ih0])
+        self._family, self._traces = None, {}  # traces of one family, by max_shell
+        self._roots = np.empty(0)  # sqrt(m/(m+1)) at odd m, shared by all families
+
+    def beam_factor(self, n, mmax):
+        """normalized_hermite_beam_sequence(w_n, w0, d, mmax) of family n."""
+        col = n - self._first
+        if col < 0:
+            raise ValueError(f"family {n} was already dropped (table starts at {self._first})")
+        if mmax >= len(self._rows):
+            rows = np.empty((mmax + 1, self._rows.shape[1] - col))
+            rows[: len(self._rows)] = self._rows[:, col:]
+            self._mu, self._beta = self._mu[col:], self._beta[col:]
+            _continue_hermite(rows, self._mu, self._beta, len(self._rows))
+            self._rows, self._first, col = rows, n, 0
+        return self._rows[: mmax + 1, col]
+
+    def _centered_factor_sq(self, max_shell):
+        """Squared centered (y) factor of the family in hand for orders
+        0..max_shell, without its numerically dead tail."""
+        if self._jh2_end is None and self._jh2_size < max_shell:
+            # the next order, odd, and one past the last even order up to max_shell
+            start, end = self._jh2_size, max_shell + 1 - max_shell % 2
+            if len(self._roots) < max_shell // 2:
+                m = np.arange(1, max_shell, 2, dtype=float)
+                self._roots = np.sqrt(m / (m + 1.0))
+            if len(self._jh2) < end:
+                jh2 = np.zeros(2 * end)  # odd orders stay 0
+                jh2[:start] = self._jh2[:start]
+                self._jh2 = jh2
+            steps = -(self._jh_beta * self._roots[start // 2 : max_shell // 2])
+            steps[0] *= self._jh_last
+            grown = np.cumprod(steps)
+            self._jh_last = grown[-1]
+            new = self._jh2[start + 1 : end : 2]
+            np.square(grown, out=new)
+            self._jh2_size = end
+            if new[-1] <= self._jh2_live:
+                self._jh2_end = start + 2 * np.count_nonzero(new > self._jh2_live)
+        end = max_shell + 1 - max_shell % 2
+        return self._jh2[: end if self._jh2_end is None else min(end, self._jh2_end)]
+
+    def traces(self, n, max_shell):
+        """Shell traces of family n for s = 0..max_shell (kg^-1), read-only."""
+        if n != self._family:
+            wn2 = acoustic_waist_sq(self.geometry, n)
+            _, self._jh_beta, jh0 = _beam_factor_start(math.sqrt(wn2), self.beam.waist, 0.0)
+            self._family, self._traces = n, {}
+            self._jh2, self._jh_last = np.array([jh0 * jh0]), jh0
+            self._jh2_size, self._jh2_end, self._jh2_live = 1, None, jh0 * jh0 * 1e-40
+            rho = self.geometry.material.density
+            self._scale = 4.0 * wn2 / (math.pi**2 * self.beam.waist**4 * rho * self.geometry.thickness)
+        if max_shell not in self._traces:
+            conv = np.convolve(self.beam_factor(n, max_shell) ** 2, self._centered_factor_sq(max_shell))
+            out = self._scale * conv[: max_shell + 1]
+            out.flags.writeable = False
+            self._traces[max_shell] = out
+        return self._traces[max_shell]
+
+
+def assert_traces_close(got, ref):
+    """The recurrence against the convolution: the family sum within 1e-12
+    relative, and every term above 1e-12 of the family's peak within 1e-11."""
+    assert not got.flags.writeable
+    assert got.shape == ref.shape
+    assert abs(got.sum() - ref.sum()) <= 1e-12 * ref.sum()
+    live = ref > 1e-12 * ref.max()
+    np.testing.assert_allclose(got[live], ref[live], rtol=1e-11, atol=0.0)
+
+
 @pytest.mark.parametrize("waist, offset", [(0.02, 0.11), (0.055, 0.185), (0.02, 0.0)])
 def test_shell_trace_table_equals_scalar_oracle(geo, waist, offset):
     beam = BeamSpec(waist=waist, offset=offset)
     table = ShellTraceTable(geo, beam, range(1, 201))
+    ref = _ConvolutionTraceTable(geo, beam, range(1, 201))
     # ascending families; growth at (1, 2048) and (200, 2100) drops the lower ones
     for n, smax in ((1, 64), (1, 2048), (7, 2048), (50, 300), (50, 2048), (200, 2048), (200, 2100)):
         wn = math.sqrt(acoustic_waist_sq(geo, n))
-        oracle = _scalar_hermite_oracle(wn, waist, offset, smax)
-        assert np.array_equal(table.beam_factor(n, smax), oracle)
-        assert np.array_equal(table.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
+        # the reference is still the scalar recurrence and its convolution, bit for bit
+        assert np.array_equal(ref.beam_factor(n, smax), _scalar_hermite_oracle(wn, waist, offset, smax))
+        assert np.array_equal(ref.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
+        assert_traces_close(table.traces(n, smax), ref.traces(n, smax))
     with pytest.raises(ValueError):
-        table.beam_factor(7, 10)
+        table.traces(7, 10)
 
 
 def test_shell_trace_table_grows_centered_factor_past_its_support(geo):
@@ -293,9 +399,82 @@ def test_shell_trace_table_grows_centered_factor_past_its_support(geo):
     assert acoustic_waist_sq(geo, n) < beam.waist**2 / 2
     table = ShellTraceTable(geo, beam, range(1, 201))
     for smax in (64, 128, 129, 300, 361, 1000, 2001, 200):
-        assert np.array_equal(table.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
-    for smax in (64, 129, 4000):  # the next family starts its factor afresh
-        assert np.array_equal(table.traces(51, smax), _scalar_shell_traces_oracle(geo, beam, 51, smax))
+        assert_traces_close(table.traces(n, smax), _scalar_shell_traces_oracle(geo, beam, n, smax))
+    for smax in (64, 129, 4000):  # the next family, after its predecessor grew the table
+        assert_traces_close(table.traces(51, smax), _scalar_shell_traces_oracle(geo, beam, 51, smax))
+
+
+@pytest.mark.parametrize("waist, offset", [(0.001, 0.01), (0.02, 0.11), (0.055, 0.0)])
+def test_shell_trace_table_growth_keeps_earlier_values(geo, waist, offset):
+    beam = BeamSpec(waist=waist, offset=offset)
+    table = ShellTraceTable(geo, beam, range(1, 201))
+    asked = {}
+    for n, smax in ((1, 64), (1, 65), (1, 1000), (3, 64), (3, 4000), (120, 10), (120, 4001), (200, 0)):
+        asked[n, smax] = table.traces(n, smax).copy()
+        for (m, short), values in asked.items():
+            if m >= n:  # the lower families were dropped
+                assert np.array_equal(table.traces(m, short), values)
+    # a fresh table that grows in one go holds the same values
+    fresh = ShellTraceTable(geo, beam, range(1, 201)).block(1, 4001)
+    for (n, smax), values in asked.items():
+        assert np.array_equal(fresh[: smax + 1, n - 1], values)
+
+
+def _mehler_generating_function(geometry, beam, n, t):
+    """sum_s T_s t^s in closed form, from the (0, 0) mode's overlap and mass
+    (independent of the table) and Mehler's formula, in 30-digit arithmetic."""
+    with mp.workdps(30):
+        wn2 = mp.mpf(acoustic_waist_sq(geometry, n))
+        w02 = mp.mpf(beam.waist) ** 2
+        d = mp.mpf(beam.offset)
+        g = wn2 / w02
+        a = mp.mpf(0.5) + g
+        mu = g * mp.sqrt(2 / wn2) * d / a
+        beta = 1 - 1 / a
+        overlap = 2 * wn2 / (2 * wn2 + w02) * mp.exp(-2 * d * d / (2 * wn2 + w02))
+        t0 = overlap**2 / effective_mass(geometry, ModeIndex(n=n))
+        t = mp.mpf(t)
+        return float(t0 * mp.exp(2 * mu * mu * t / (1 + beta * t)) / (1 - beta * beta * t * t))
+
+
+@pytest.mark.parametrize("waist", [0.001, 0.005, 0.02, 0.055])
+def test_shell_traces_match_mehler_generating_function(geo, waist):
+    for offset in (0.0, 0.01, 0.035):
+        beam = BeamSpec(waist=waist, offset=offset)
+        table = ShellTraceTable(geo, beam, range(1, 201))
+        for n in (1, 7, 50, 200):
+            traces = table.traces(n, 4096)
+            for t in (0.3, 0.9):
+                got = float(np.sum(traces * t ** np.arange(4097.0)))
+                assert got == pytest.approx(_mehler_generating_function(geo, beam, n, t), rel=1e-13, abs=0.0)
+
+
+def test_shell_traces_match_mehler_near_beta_minus_one(geo):
+    # w0 = 10 w_200, so beta_200 = -0.96, and the offset gives mu = 2.04:
+    # (1 + beta t) is small at t = 0.9 and the traces peak past shell 5000.
+    # The beam lies off the mirror face; the table does not need it on it.
+    beam = BeamSpec(waist=0.068, offset=0.5)
+    n = 200
+    mu, beta, _ = _beam_factor_start(math.sqrt(acoustic_waist_sq(geo, n)), beam.waist, beam.offset)
+    assert beta < -0.96 and mu > 2.0
+    traces = ShellTraceTable(geo, beam, range(n, n + 1)).traces(n, 16384)
+    assert np.isfinite(traces).all() and traces.min() >= 0.0
+    assert traces[-1] < 1e-40 * traces.max()
+    for t in (0.3, 0.9):
+        got = float(np.sum(traces * t ** np.arange(16385.0)))
+        assert got == pytest.approx(_mehler_generating_function(geo, beam, n, t), rel=1e-13, abs=0.0)
+
+
+def test_shell_traces_far_off_axis_stay_finite(geo):
+    # at w0 1 mm and d 18.5 cm, T_0 = C of the highest families underflows
+    # (x = 4 d^2 / (w0^2 + 2 w_n^2) passes 700) while their traces peak near 100
+    beam = BeamSpec(waist=0.001, offset=0.185)
+    table = ShellTraceTable(geo, beam, range(100, 191))
+    ref = _ConvolutionTraceTable(geo, beam, range(100, 191))
+    for n in (100, 150, 190):
+        got = table.traces(n, 2048)
+        assert np.isfinite(got).all()
+        assert abs(got.sum() - ref.traces(n, 2048).sum()) <= 1e-10 * ref.traces(n, 2048).sum()
 
 
 @pytest.mark.parametrize("mmax", [0, 1, 2, 60, 2048])

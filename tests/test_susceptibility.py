@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirnoise.errors import BudgetExceededError
-from mirnoise.geometry import FUSED_SILICA, solve_geometry
+from mirnoise.geometry import FUSED_SILICA, Material, solve_geometry
 from mirnoise.modes import (
     ModeIndex,
     acoustic_waist_sq,
@@ -14,7 +14,7 @@ from mirnoise.modes import (
     fundamental_frequency,
     mode_data,
 )
-from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
+from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered, shell_overlap_sq_over_mass
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SusceptibilityResult,
@@ -136,6 +136,39 @@ def test_chi_eff_offaxis_matches_centered_limit(geo):
     near = effective_susceptibility(geo, BeamSpec(waist=0.02, offset=1e-10))
     assert near.value.real == pytest.approx(centered.value.real, rel=1e-4)
     assert near.tail_is_estimate and not centered.tail_is_estimate
+
+
+@given(
+    waist=st.floats(min_value=0.005, max_value=0.055),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    n=st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=12, deadline=None)
+def test_chi_eff_continuous_as_offset_goes_to_zero(geo, waist, where, n):
+    # offsets from 1e-9 m to 1e-4 w0, log-uniform
+    offset = math.exp(math.log(1e-9) + where * math.log(1e-4 * waist / 1e-9))
+    near = effective_susceptibility(geo, BeamSpec(waist=waist, offset=offset))
+    centered = effective_susceptibility(geo, BeamSpec(waist=waist))
+    assert near.value.real == pytest.approx(centered.value.real, rel=1e-4)
+    # at offset 0 the traces' odd shells vanish exactly
+    traces = shell_overlap_sq_over_mass(geo, BeamSpec(waist=waist), n, 301)
+    assert not traces[1::2].any()
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03])
+def test_zero_loss_angle_rejected(geo, offset):
+    # phi = 0 makes every mode's Lorentzian singular at its own resonance
+    beam = BeamSpec(waist=0.02, offset=offset)
+    with pytest.raises(ValueError, match=r"loss angle must lie in \(0, 1\), got 0.0 at omega=10000.0"):
+        effective_susceptibility(geo, beam, 1e4, lambda omega: 0.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        effective_susceptibility_grid(geo, beam, [0.0, 1e4], 0.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        spectrum_point(1e4, 300.0, lambda omega: 0.0, 1e-10 + 1e-16j, 1e-10 + 0j)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        Material(density=2200.0, sound_velocity=5960.0, loss_angle=0.0)
+    # at omega = 0 the loss angle drops out and is not asked for
+    assert effective_susceptibility(geo, beam, 0.0, lambda omega: 0.0).converged
 
 
 def test_thermal_force_spectrum_oscillator_algebra(geo):

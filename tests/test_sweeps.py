@@ -6,13 +6,14 @@ import pytest
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, fundamental_frequency, mode_data
-from mirnoise.overlap import BeamSpec, overlap_centered
+from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
 from mirnoise.susceptibility import TruncationPolicy, effective_susceptibility
 from mirnoise.sweeps import (
     CSV_HEADER,
     CompareReport,
     SweepSpec,
     _centered_term_pool,
+    _shell_term_pool,
     compare_report,
     convergence_study,
     run_sweep,
@@ -208,3 +209,39 @@ def test_centered_term_pool_matches_oracle(thickness):
             assert np.array_equal(n_ids, np.concatenate([np.full(len(t), n) for n, t, _ in pool]))
             assert np.array_equal(p_ids, np.concatenate([p for _, _, p in pool]))
             assert n_ids.dtype.kind == p_ids.dtype.kind == "i"
+
+
+def _oracle_shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
+    """The per-(family, level) loop that the level-by-level pool replaced, kept verbatim."""
+    om_m2 = fundamental_frequency(geometry) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
+    top = None
+    per_n = []
+    for n in range(1, n_max + 1):
+        smax = 64
+        while True:
+            traces = table.traces(n, smax)
+            om2 = om_m2 * (n * n + curv * n * (np.arange(smax + 1) + 1.0))
+            terms = traces / om2
+            if top is None:
+                top = terms.max()
+            if terms[-1] < top * floor_rel or smax >= 60_000:
+                break
+            smax *= 2
+        s = np.nonzero(terms >= top * floor_rel)[0]
+        per_n.append((terms[s], np.full(len(s), n), s))
+    return tuple(np.concatenate(parts) for parts in zip(*per_n))
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+def test_shell_term_pool_matches_oracle(thickness):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    # the narrow beam's families run to 8192-32768 shells, so it stops at n = 40
+    for waist, offset, n_caps in ((0.005, 0.001, (1, 7, 40)), (0.02, 0.025, (1, 7, 200)),
+                                  (0.02, 0.11, (1, 7, 200)), (0.055, 0.185, (1, 7, 200))):
+        beam = BeamSpec(waist=waist, offset=offset)
+        for n_max in n_caps:
+            got = _shell_term_pool(geometry, beam, n_max)
+            for a, b in zip(got, _oracle_shell_term_pool(geometry, beam, n_max)):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
