@@ -16,18 +16,13 @@ from .geometry import (
 from .modes import (
     ModeData,
     ModeIndex,
-    effective_mass_oracle,
     fundamental_frequency,
     mode_data,
-    surface_displacement,
 )
 from .overlap import (
     BeamSpec,
     OverlapWeight,
-    beam_profile,
     overlap_centered,
-    overlap_offaxis,
-    overlap_quadrature_oracle,
 )
 from .susceptibility import (
     BOLTZMANN,
@@ -73,11 +68,9 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TruncationPolicy",
-    "beam_profile",
     "compare_report",
     "convergence_study",
     "displacement_noise_spectrum",
-    "effective_mass_oracle",
     "effective_susceptibility",
     "effective_susceptibility_grid",
     "fundamental_frequency",
@@ -85,11 +78,8 @@ __all__ = [
     "mode_susceptibility",
     "optical_mass_model",
     "overlap_centered",
-    "overlap_offaxis",
-    "overlap_quadrature_oracle",
     "run_sweep",
     "solve_geometry",
-    "surface_displacement",
     "thermal_force_spectrum",
     "thickness_profile",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 import numpy as np
 
@@ -115,23 +114,32 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _setup(settings: dict):
-    material = Material(
+def _material(settings: dict) -> Material:
+    return Material(
         density=settings["density"],
         sound_velocity=settings["sound_speed"],
         loss_angle=settings["loss_angle"],
     )
-    geometry = solve_geometry(settings["mass"], settings["thickness"], material)
-    offset = settings["offset"]
-    if settings["offset_in_waists"]:
-        offset *= settings["waist"]
-    beam = BeamSpec(waist=settings["waist"], offset=offset)
-    policy = TruncationPolicy(
+
+
+def _policy(settings: dict) -> TruncationPolicy:
+    return TruncationPolicy(
         epsilon=settings["epsilon"],
         max_modes=settings["max_modes"],
         n_max=settings["n_max"],
     )
-    return geometry, beam, policy
+
+
+def _metres(settings: dict, offset: float) -> float:
+    """An offset in m, given in waists under --offset-in-waists."""
+    return offset * settings["waist"] if settings["offset_in_waists"] else offset
+
+
+def _setup(settings: dict):
+    check_temperature(settings["temperature"])
+    geometry = solve_geometry(settings["mass"], settings["thickness"], _material(settings))
+    beam = BeamSpec(waist=settings["waist"], offset=_metres(settings, settings["offset"]))
+    return geometry, beam, _policy(settings)
 
 
 def _open_output(path):
@@ -194,7 +202,6 @@ def _cmd_spectrum(args) -> int:
     _warn_paraxial(geometry)
     if not 0 < args.omega_min < args.omega_max < np.inf:
         raise ValueError("need 0 < omega-min < omega-max < inf")
-    check_temperature(settings["temperature"])
     omegas = [float(omega) for omega in np.geomspace(args.omega_min, args.omega_max, args.points)]
     chi_zero, *chis = effective_susceptibility_grid(
         geometry, beam, [0.0, *omegas], settings["loss_angle"], policy
@@ -243,14 +250,8 @@ def _cmd_sweep(args) -> int:
     lo = args.lo if args.lo is not None else lo_default
     hi = args.hi if args.hi is not None else hi_default
     points = args.points if args.points is not None else points_default
-    if parameter == "offset" and settings["offset_in_waists"]:
-        lo *= settings["waist"]
-        hi *= settings["waist"]
-    material = Material(
-        density=settings["density"],
-        sound_velocity=settings["sound_speed"],
-        loss_angle=settings["loss_angle"],
-    )
+    if parameter == "offset":
+        lo, hi = _metres(settings, lo), _metres(settings, hi)
     spec = SweepSpec(
         parameter=parameter,
         lo=lo,
@@ -259,15 +260,11 @@ def _cmd_sweep(args) -> int:
         mass=settings["mass"],
         thickness=settings["thickness"],
         waist=settings["waist"],
-        offset=settings["offset"] * (settings["waist"] if settings["offset_in_waists"] else 1.0),
+        offset=_metres(settings, settings["offset"]),
         temperature=settings["temperature"],
         loss_angle=settings["loss_angle"],
-        material=material,
-        policy=TruncationPolicy(
-            epsilon=settings["epsilon"],
-            max_modes=settings["max_modes"],
-            n_max=settings["n_max"],
-        ),
+        material=_material(settings),
+        policy=_policy(settings),
     )
     rows = run_sweep(spec, jobs=settings["jobs"])
     with _open_output(args.output) as fh:

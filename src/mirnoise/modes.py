@@ -10,7 +10,9 @@ eigenfrequencies
 
     Omega_{n,p,l}^2 = Omega_M^2 [n^2 + (2/pi) sqrt(h0/R) n (2p + l + 1)],
 
-Omega_M = pi c_l / h0 being the fundamental longitudinal frequency.
+Omega_M = pi c_l / h0 being the fundamental longitudinal frequency.  This
+module gives each mode's waist, eigenfrequency and effective mass; only the
+oracles in mirnoise.validation evaluate the profile u itself.
 """
 from __future__ import annotations
 
@@ -18,9 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
-from .errors import QuadratureConvergenceError
 from .geometry import PlanoConvexGeometry
 
 Parity = Literal["cos", "sin"]
@@ -127,72 +126,4 @@ def mode_data(geometry: PlanoConvexGeometry, index: ModeIndex) -> ModeData:
         frequency=math.sqrt(eigenfrequency_sq(geometry, index.n, index.shell)),
         effective_mass=effective_mass(geometry, index),
         fundamental_frequency=fundamental_frequency(geometry),
-    )
-
-
-def generalized_laguerre(p: int, l: int, x):
-    """L_p^l(x) by the three-term recurrence in p; x may be a scalar or ndarray."""
-    x = np.asarray(x, dtype=x.dtype if isinstance(x, np.ndarray) else float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(p):
-        prev, cur = cur, ((2 * k + l + 1 - x) * cur - (k + l) * prev) / (k + 1)
-    return cur
-
-
-def surface_displacement(geometry: PlanoConvexGeometry, index: ModeIndex, r, phi):
-    """Mode displacement on the mirror face (z=0), normalized to 1 on axis for l=0.
-
-    Accepts scalars or broadcastable arrays for (r, phi); raises for points
-    outside the mirror.
-    """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(r < 0) or np.any(r > geometry.diameter / 2.0 * (1.0 + 1e-12)):
-        raise ValueError("radial position outside the mirror face")
-    wn2 = acoustic_waist_sq(geometry, index.n)
-    wn = math.sqrt(wn2)
-    radial = np.exp(-(r * r) / wn2) * generalized_laguerre(index.p, index.l, 2.0 * r * r / wn2)
-    if index.l:
-        radial = radial * (np.sqrt(2.0) * r / wn) ** index.l
-    angular = np.cos(index.l * phi) if index.parity == "cos" else np.sin(index.l * phi)
-    out = radial * angular
-    return float(out) if out.ndim == 0 else out
-
-
-def effective_mass_oracle(
-    geometry: PlanoConvexGeometry,
-    index: ModeIndex,
-    rel_tol: float = 1e-8,
-    max_refinements: int = 8,
-) -> float:
-    """Effective mass by direct quadrature of the paraxial kinetic-energy norm.
-
-    rho (h0/2) * integral of u(r, phi, z=0)^2 over the mirror face, evaluated
-    on a Gauss-Legendre (radial) x trapezoid (angular) grid that is refined
-    until two successive refinements agree to rel_tol.  Independent of the
-    closed forms in effective_mass, so it can arbitrate them.
-    """
-    rho = geometry.material.density
-    h0 = geometry.thickness
-    rmax = geometry.diameter / 2.0
-    nr, nphi = 128, 64
-    prev = None
-    for _ in range(max_refinements):
-        nodes, weights = np.polynomial.legendre.leggauss(nr)
-        r = 0.5 * rmax * (nodes + 1.0)
-        wr = 0.5 * rmax * weights
-        phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
-        u = surface_displacement(geometry, index, r[:, None], phi[None, :])
-        radial_sum = (u * u).sum(axis=1) * (2.0 * math.pi / nphi)
-        val = rho * (h0 / 2.0) * float((radial_sum * r * wr).sum())
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
-            return val
-        prev = val
-        nr *= 2
-        nphi *= 2
-    raise QuadratureConvergenceError(
-        f"effective-mass quadrature stalled for {index}",
-        last_value=val,
-        last_delta=abs(val - prev) / abs(val),
     )

@@ -242,14 +242,16 @@ def _shell_tail_estimate(abs_terms):
     Strides over four shells to average out the even/odd coupling oscillation;
     inf while the shell weights are still growing (the enumeration has not
     passed the coupling peak yet), and inf when fewer than five shells leave
-    no stride to extrapolate from.
+    no stride to extrapolate from.  A row of zeros has not reached its peak
+    either (far off axis a family's head underflows), so it is inf too; one
+    that decayed to exact zeros has passed it, and its tail is 0.
     """
     if abs_terms.shape[1] < 5:
         return [math.inf] * len(abs_terms)
     tails = []
-    for last, ref in zip(abs_terms[:, -1].tolist(), abs_terms[:, -5].tolist()):
+    for i, (last, ref) in enumerate(zip(abs_terms[:, -1].tolist(), abs_terms[:, -5].tolist())):
         if last == 0.0 and ref == 0.0:
-            tails.append(0.0)
+            tails.append(0.0 if abs_terms[i].any() else math.inf)
         elif ref <= 0.0 or last >= ref:
             tails.append(math.inf)
         else:

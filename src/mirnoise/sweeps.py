@@ -66,6 +66,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
+        for name in ("lo", "hi", "mass", "thickness", "waist", "offset"):
+            if not math.isfinite(getattr(self, name)):  # the swept one of the last four goes unused
+                raise ValueError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:

@@ -1,7 +1,13 @@
+import io
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirnoise import cli
 from mirnoise.cli import main
@@ -236,6 +242,48 @@ def test_non_finite_inputs_exit_code(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+FLOAT_FLAGS = ("mass", "thickness", "waist", "offset", "temperature", "loss-angle", "density",
+               "sound-speed", "epsilon")
+COMMAND_FLOAT_FLAGS = {
+    ("chi0",): FLOAT_FLAGS,
+    ("spectrum", "--points=3"): FLOAT_FLAGS + ("omega-min", "omega-max"),
+    **{("sweep", f"--param={param}", "--points=2"): FLOAT_FLAGS + ("lo", "hi")
+       for param in ("thickness", "waist", "offset", "mass", "mode-count")},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warning on the way to the error
+@given(
+    command_flag=st.sampled_from([(cmd, flag) for cmd, flags in COMMAND_FLOAT_FLAGS.items() for flag in flags]),
+    value=st.sampled_from(["nan", "inf", "-inf"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_non_finite_float_flag_exit_code(command_flag, value):
+    # --flag=value, because argparse would read a separate -inf as a flag
+    command, flag = command_flag
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*command, f"--{flag}={value}"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_runtime_imports_no_validation_code():
+    script = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+import mirnoise, mirnoise.cli
+for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["spectrum", "--points", "3"], ["converge"]):
+    assert mirnoise.cli.main(argv) == 0, argv
+assert "mirnoise.validation" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

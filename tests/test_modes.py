@@ -11,14 +11,12 @@ from mirnoise.modes import (
     ModeIndex,
     acoustic_waist_sq,
     effective_mass,
-    effective_mass_oracle,
     eigenfrequency_sq,
     factorial_ratio,
     fundamental_frequency,
-    generalized_laguerre,
     mode_data,
-    surface_displacement,
 )
+from mirnoise.validation import effective_mass_oracle, generalized_laguerre, surface_displacement
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mirnoise.errors import QuadratureConvergenceError
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, effective_mass, mode_data
-from mirnoise.overlap import (
-    BeamSpec,
-    ShellTraceTable,
+from mirnoise.overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror, overlap_centered
+from mirnoise.validation import (
     beam_profile,
-    check_beam_on_mirror,
     hermite_product_tables,
     normalized_hermite_beam_sequence,
-    overlap_centered,
     overlap_offaxis,
     overlap_quadrature_oracle,
     shell_overlap_sq_over_mass,

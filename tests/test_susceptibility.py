@@ -14,11 +14,12 @@ from mirnoise.modes import (
     fundamental_frequency,
     mode_data,
 )
-from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered, shell_overlap_sq_over_mass
+from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SusceptibilityResult,
     TruncationPolicy,
+    _shell_tail_estimate,
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
@@ -27,6 +28,7 @@ from mirnoise.susceptibility import (
     spectrum_point,
     thermal_force_spectrum,
 )
+from mirnoise.validation import shell_overlap_sq_over_mass
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +485,7 @@ def _oracle_shell_tail_estimate(abs_terms):
     last = abs_terms[-1]
     ref = abs_terms[-5]
     if last == 0.0 and ref == 0.0:
-        return 0.0
+        return 0.0 if abs_terms.any() else float("inf")
     if ref <= 0.0 or last >= ref:
         return float("inf")
     ratio = min((last / ref) ** 0.25, 0.999)
@@ -655,4 +657,29 @@ def test_offaxis_sum_with_too_few_shells_to_extrapolate(geo, p_max, l_max):
         expected += float((table.traces(n, smax) / (om_m2 * (n * n + curv * n * (np.arange(smax + 1.0) + 1.0)))).sum())
     assert res.value == expected
     assert res.modes_used == 200 * (smax + 1)
+    assert res.tail_bound == math.inf and not res.converged
+
+
+def test_shell_tail_estimate_of_zero_rows():
+    # a row of zeros has not reached its peak yet; one that decayed to zeros has passed it
+    decayed = np.array([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0, 0.0, 0.0, 0.0])
+    rows = np.array([np.zeros(9), decayed, 2.0 ** -np.arange(9.0)])
+    assert _shell_tail_estimate(rows)[:2] == [math.inf, 0.0]
+    assert _shell_tail_estimate(rows[2:]) == [2.0 ** -9 / (1.0 - 0.5)]
+    assert _oracle_shell_tail_estimate(rows[0]) == math.inf
+    assert _oracle_shell_tail_estimate(decayed) == 0.0
+
+
+def test_offaxis_families_with_zero_heads_are_summed(geo):
+    # at w0 1 mm, d 18.5 cm the first 64 terms of families 135-200 underflow
+    # to 0; 135-196 peak later, while 197-200 stay 0 up to the 60,000-shell cap
+    beam = BeamSpec(waist=0.001, offset=0.185)
+    res = effective_susceptibility(geo, beam)
+    om_m2 = fundamental_frequency(geo) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geo.thickness / geo.curvature_radius)
+    n = np.arange(1.0, 201.0)
+    traces = ShellTraceTable(geo, beam, range(1, 201)).block(1, 8191)
+    direct = (traces / (om_m2 * (n * n + curv * n * np.arange(1.0, 8193.0)[:, None]))).sum(axis=0)
+    assert [s == 0.0 for s in res.per_n] == (direct == 0.0).tolist()
+    assert direct.sum() * (1.0 - 1e-3) <= res.value.real <= direct.sum() * 1.01
     assert res.tail_bound == math.inf and not res.converged

@@ -33,6 +33,11 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="waist", lo=0.06, hi=0.01, points=5)
     with pytest.raises(ValueError):
         SweepSpec(parameter="waist", lo=0.01, hi=0.06, points=1)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.06), (math.nan, 0.06)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(parameter="offset", lo=lo, hi=hi, points=5)
+    with pytest.raises(ValueError, match="finite"):  # the swept parameter's fixed value too
+        SweepSpec(parameter="mass", lo=5.0, hi=10.0, points=2, mass=math.nan)
 
 
 def test_invalid_point_aborts_before_computation():
