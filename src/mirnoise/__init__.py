@@ -1,11 +1,6 @@
 """Internal thermal noise of a plano-convex mirror read out by a Gaussian beam."""
 
-from .errors import (
-    BudgetExceededError,
-    InfeasibleGeometryError,
-    QuadratureConvergenceError,
-    RecurrenceOverflowError,
-)
+from .errors import BudgetExceededError, InfeasibleGeometryError
 from .geometry import (
     FUSED_SILICA,
     Material,
@@ -61,8 +56,6 @@ __all__ = [
     "OpticalMassApprox",
     "OverlapWeight",
     "PlanoConvexGeometry",
-    "QuadratureConvergenceError",
-    "RecurrenceOverflowError",
     "SpectrumPoint",
     "SusceptibilityResult",
     "SweepRow",

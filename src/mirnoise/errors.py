@@ -5,19 +5,6 @@ class InfeasibleGeometryError(ValueError):
     """The requested mass/thickness combination does not describe a sphere segment."""
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """An adaptive quadrature stalled before reaching the requested tolerance."""
-
-    def __init__(self, message, last_value=None, last_delta=None):
-        super().__init__(message)
-        self.last_value = last_value
-        self.last_delta = last_delta
-
-
-class RecurrenceOverflowError(FloatingPointError):
-    """An intermediate term of a polynomial recurrence left the representable range."""
-
-
 class BudgetExceededError(RuntimeError):
     """The mode budget ran out before the requested tail tolerance was reached.
 

@@ -25,6 +25,9 @@ BOLTZMANN = 1.380649e-23
 
 LossAngle = Union[float, Callable[[float], float]]
 
+#: an offset beam's family stops at this many shells, converged or not
+SHELL_CAP = 60_000
+
 
 def _loss_at(loss_angle: LossAngle, omega: float) -> float:
     phi = loss_angle(omega) if callable(loss_angle) else float(loss_angle)
@@ -36,24 +39,26 @@ def _loss_at(loss_angle: LossAngle, omega: float) -> float:
 class TruncationPolicy:
     """Controls how the modal sum is truncated.
 
+    The model is the infinite sum over every mode; these settings only say
+    where the computation stops.
+
     epsilon    relative tail tolerance for the reported susceptibility
     max_modes  hard budget; exceeding it raises BudgetExceededError
-    n_max, p_max, l_max  index caps bounding the enumerated mode universe
+    n_max      computational cap on the longitudinal index; the families
+               above it are left out, and tail_bound does not cover them
     """
 
     epsilon: float = 1e-4
     max_modes: int = 1_000_000
     n_max: int = 200
-    p_max: int = 1_000_000
-    l_max: int = 1_000_000
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 1 <= self.max_modes < math.inf:
             raise ValueError(f"max_modes must be a finite count of at least 1, got {self.max_modes}")
-        if not all(0 <= cap < math.inf for cap in (self.n_max - 1, self.p_max, self.l_max)):
-            raise ValueError("index caps out of range")
+        if not 1 <= self.n_max < math.inf:
+            raise ValueError(f"n_max must be a finite count of at least 1, got {self.n_max}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -179,7 +184,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     w02 = beam.waist * beam.waist
-    first = min(64, policy.p_max + 1)
+    first = 64
     # a family past max_modes // first + 1 cannot be reached within the budget
     n = np.arange(1.0, min(policy.n_max, policy.max_modes // first + 1) + 1.0)
     wn2 = acoustic_waist_sq(geometry, n)
@@ -203,7 +208,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
             totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
             modes = used + first * np.arange(1, len(totals) + 1)
             target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
-            done = (modes <= policy.max_modes) & ((first > policy.p_max) | (tails[k:] <= target))
+            done = (modes <= policy.max_modes) & (tails[k:] <= target)
             j = len(done) if done.all() else int(np.argmin(done))
             if j:
                 total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
@@ -218,10 +223,10 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                     partial=_result(total + s_n, omega, used + p, math.inf, False, sums[:k].tolist(),
                                     policy),
                 )
-            if p > policy.p_max or tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
+            if tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
                 break
             # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
-            count = min(p + 64, 8192, policy.p_max + 1 - p)
+            count = min(p + 64, 8192)
             block = _centered_block(om_m2, curv, n[k], mass[k], head[k], q2[k], p, count, omega, phi)
             s_n += block.item()
             head[k] *= float(q2[k]) ** count
@@ -241,13 +246,10 @@ def _shell_tail_estimate(abs_terms):
 
     Strides over four shells to average out the even/odd coupling oscillation;
     inf while the shell weights are still growing (the enumeration has not
-    passed the coupling peak yet), and inf when fewer than five shells leave
-    no stride to extrapolate from.  A row of zeros has not reached its peak
+    passed the coupling peak yet).  A row of zeros has not reached its peak
     either (far off axis a family's head underflows), so it is inf too; one
     that decayed to exact zeros has passed it, and its tail is 0.
     """
-    if abs_terms.shape[1] < 5:
-        return [math.inf] * len(abs_terms)
     tails = []
     for i, (last, ref) in enumerate(zip(abs_terms[:, -1].tolist(), abs_terms[:, -5].tolist())):
         if last == 0.0 and ref == 0.0:
@@ -260,7 +262,7 @@ def _shell_tail_estimate(abs_terms):
     return tails
 
 
-def _offaxis_family(table, n, om2, shell_cap, w2, phi, totals, policy):
+def _offaxis_family(table, n, om2, w2, phi, totals, policy):
     """Family n's (kept sum, tail estimate, shell count) for each row of a
     frequency grid: omega^2 in w2, loss angles in phi and the running totals
     over the lower families in totals.  om2(smax) gives the family's Omega^2
@@ -275,7 +277,7 @@ def _offaxis_family(table, n, om2, shell_cap, w2, phi, totals, policy):
     found = [None] * len(totals)
     todo, smax = list(range(len(totals))), 64
     while todo:
-        smax = min(smax, shell_cap)
+        smax = min(smax, SHELL_CAP)
         traces = table.traces(n, smax)
         om2_s = om2(smax)
         if phi is None:
@@ -286,7 +288,7 @@ def _offaxis_family(table, n, om2, shell_cap, w2, phi, totals, policy):
         sums = np.add.reduce(terms, axis=1).tolist()
         targets = [policy.epsilon * abs(totals[k] + s) / (2.0 * policy.n_max) for k, s in zip(todo, sums)]
         tails = _shell_tail_estimate(abs_terms)
-        done = [smax >= shell_cap or tail <= target for tail, target in zip(tails, targets)]
+        done = [smax >= SHELL_CAP or tail <= target for tail, target in zip(tails, targets)]
         fin = [i for i, d in enumerate(done) if d]
         if fin:
             sel = slice(None) if len(fin) == len(todo) else fin
@@ -325,9 +327,8 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
-    shell_cap = min(2 * policy.p_max + policy.l_max, 60_000)
     table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
-    shells = np.arange(1.0, shell_cap + 2.0)  # s + 1
+    shells = np.arange(1.0, SHELL_CAP + 2.0)  # s + 1
 
     # rows: one real row for omega = 0, however often the grid holds it (its
     # rows would all be alike), then a complex row for every other omega
@@ -350,7 +351,7 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
 
         sums, tails_n = [None] * len(totals), [None] * len(totals)
         for rows, w2, phi in groups:
-            found = _offaxis_family(table, n, om2, shell_cap, w2, phi, totals[rows.start : rows.stop], policy)
+            found = _offaxis_family(table, n, om2, w2, phi, totals[rows.start : rows.stop], policy)
             for r, (s_n, tail_n, count) in zip(rows, found):
                 # one summand per degenerate shell; each shell trace folds in
                 # its s//2 + 1 coupled cosine modes analytically

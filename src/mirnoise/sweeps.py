@@ -1,6 +1,6 @@
 """Parameter sweeps, the convergence study, comparison report, and CSV output.
 
-Sweeps vary one of {thickness, waist, offset, mass, mode_count} while holding
+Sweeps vary one of {thickness, waist, offset, mass} while holding
 the rest fixed, re-solving the geometry closure wherever the swept parameter
 touches it.  Output rows are deterministic: fixed enumeration order inside the
 modal sums and fixed float formatting, so identical sweeps give byte-identical
@@ -22,15 +22,17 @@ from .modes import acoustic_waist_sq, fundamental_frequency
 from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 from .susceptibility import (
     DEFAULT_POLICY,
+    SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
+    _shell_tail_estimate,
     check_temperature,
     effective_susceptibility,
 )
 
 CSV_HEADER = "# mirnoise v1, one-sided angular-frequency spectra, SI units"
 
-SWEEP_PARAMETERS = ("thickness", "waist", "offset", "mass", "mode_count")
+SWEEP_PARAMETERS = ("thickness", "waist", "offset", "mass")
 
 #: zero-frequency susceptibility of a standard cylindrical mirror of equal
 #: mass, literature reference values (not recomputed here), keyed by beam waist
@@ -42,7 +44,6 @@ DEFAULT_RANGES = {
     "waist": (0.01, 0.06, 26),
     "offset": (0.0, 0.22, 23),
     "mass": (5.0, 50.0, 10),
-    "mode_count": (1e2, 1e6, 5),
 }
 
 
@@ -78,9 +79,6 @@ class SweepSpec:
         check_temperature(self.temperature)
 
     def values(self) -> np.ndarray:
-        if self.parameter == "mode_count":
-            counts = np.geomspace(self.lo, self.hi, self.points)
-            return np.unique(np.rint(counts).astype(int)).astype(float)
         return np.linspace(self.lo, self.hi, self.points)
 
     def operating_point(self, value: float):
@@ -109,8 +107,6 @@ class SweepRow:
 
 def validate_sweep(spec: SweepSpec) -> None:
     """Check every sweep point's invariants before any computation is spent."""
-    if spec.parameter == "mode_count":
-        return
     for value in spec.values():
         spec.operating_point(value)
 
@@ -149,40 +145,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     continues; an invalid spec aborts before any point is computed.
     """
     validate_sweep(spec)
-    if spec.parameter == "mode_count":
-        return _mode_count_rows(spec)
     values = list(spec.values())
     if jobs <= 1:
         return [_sweep_point(spec, v) for v in values]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_point, [spec] * len(values), values))
-
-
-def _mode_count_rows(spec: SweepSpec) -> list[SweepRow]:
-    """Sweep over the mode count: the convergence study in row form."""
-    mat = replace(spec.material, loss_angle=spec.loss_angle)
-    geometry = solve_geometry(spec.mass, spec.thickness, mat)
-    beam = BeamSpec(waist=spec.waist, offset=spec.offset)
-    checkpoints = [int(v) for v in spec.values()]
-    start = time.perf_counter()
-    pairs = convergence_study(geometry, beam, spec.loss_angle, checkpoints)
-    elapsed = time.perf_counter() - start
-    final = pairs[-1][1]
-    rows = []
-    for count, chi in pairs:
-        gap = abs(chi - final) / abs(final) if final else 0.0
-        rows.append(
-            SweepRow(
-                value=float(count),
-                chi0=chi,
-                modes_used=count,
-                tail_bound=gap,
-                paraxial_warning=geometry.paraxial_warning,
-                converged=gap <= spec.policy.epsilon,
-                seconds=elapsed / len(pairs),
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +204,9 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     """All (n, shell) zero-frequency terms of a displaced beam down to a floor
     relative to the largest term of family 1's first 64 shells, as flat arrays
     (terms, n, shell) in ascending n, then shell.  The families still above
-    the floor at their last shell take the next level (64, 128, ...) together."""
+    the floor at their last shell, or not yet past their peak there (as
+    _shell_tail_estimate judges it), take the next level (64, 128, ...)
+    together."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
@@ -249,7 +218,7 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
         terms = table.block(todo[0], smax)[:, todo - todo[0]] / om2
         if floor is None:
             floor = terms[:, 0].max() * floor_rel
-        done = (terms[-1] < floor) | (smax >= 60_000)
+        done = ((terms[-1] < floor) & np.isfinite(_shell_tail_estimate(terms.T))) | (smax >= SHELL_CAP)
         kept = terms[:, done].T  # a row per finished family
         rows, s = np.nonzero(kept >= floor)
         parts.append((kept[rows, s], todo[done][rows], s))

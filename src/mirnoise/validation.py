@@ -14,10 +14,22 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import QuadratureConvergenceError, RecurrenceOverflowError
 from .geometry import PlanoConvexGeometry
 from .modes import ModeData, ModeIndex, acoustic_waist_sq
 from .overlap import BeamSpec, OverlapWeight, ShellTraceTable, check_beam_on_mirror
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """An adaptive quadrature stalled before reaching the requested tolerance."""
+
+    def __init__(self, message, last_value=None, last_delta=None):
+        super().__init__(message)
+        self.last_value = last_value
+        self.last_delta = last_delta
+
+
+class RecurrenceOverflowError(FloatingPointError):
+    """An intermediate term of a polynomial recurrence left the representable range."""
 
 
 def generalized_laguerre(p: int, l: int, x):

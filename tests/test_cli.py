@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirnoise import cli
 from mirnoise.cli import main
-from mirnoise.errors import QuadratureConvergenceError, RecurrenceOverflowError
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +79,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chi0", "--config", str(cfg))
     assert code == 2
     assert "unknown config keys" in err
+    # so is an unknown sweep parameter; argparse exits 2 itself
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--param", "mode-count"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mode-count'" in capsys.readouterr().err
 
 
 def test_sweep_csv_format_and_determinism(capsys):
@@ -208,20 +211,6 @@ def test_spectrum_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [RecurrenceOverflowError("overflow"), QuadratureConvergenceError("stalled")]
-)
-def test_computation_errors_exit_code(error, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(cli, "effective_susceptibility", fail)
-    code, out, err = run_cli(capsys, "chi0", "--offset", "0.01")
-    assert code == 3
-    assert out == ""
-    assert err == f"error: {error}\n"
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ("chi0", "--offset", "nan"),
@@ -250,7 +239,7 @@ COMMAND_FLOAT_FLAGS = {
     ("chi0",): FLOAT_FLAGS,
     ("spectrum", "--points=3"): FLOAT_FLAGS + ("omega-min", "omega-max"),
     **{("sweep", f"--param={param}", "--points=2"): FLOAT_FLAGS + ("lo", "hi")
-       for param in ("thickness", "waist", "offset", "mass", "mode-count")},
+       for param in ("thickness", "waist", "offset", "mass")},
 }
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirnoise.errors import QuadratureConvergenceError
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, effective_mass, mode_data
 from mirnoise.overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror, overlap_centered
 from mirnoise.validation import (
+    QuadratureConvergenceError,
     beam_profile,
     hermite_product_tables,
     normalized_hermite_beam_sequence,

@@ -28,6 +28,7 @@ from mirnoise.susceptibility import (
     spectrum_point,
     thermal_force_spectrum,
 )
+from mirnoise.sweeps import convergence_study
 from mirnoise.validation import shell_overlap_sq_over_mass
 
 
@@ -48,6 +49,8 @@ def test_policy_validation():
         TruncationPolicy(max_modes=0)
     with pytest.raises(ValueError):
         TruncationPolicy(n_max=0)
+    with pytest.raises(TypeError):  # p and l have no caps
+        TruncationPolicy(p_max=1)
 
 
 def test_mode_susceptibility_static_and_resonant(geo):
@@ -68,29 +71,19 @@ def test_mode_susceptibility_static_and_resonant(geo):
     assert 1.0 / (1.117 * mode.frequency**2) == pytest.approx(chi0.real, rel=1e-3)
 
 
-def test_single_mode_policy_is_one_term(geo, beam):
-    policy = TruncationPolicy(epsilon=0.5, max_modes=10, n_max=1, p_max=0)
-    res = effective_susceptibility(geo, beam, 0.0, policy=policy)
-    mode = mode_data(geo, ModeIndex(n=1))
-    ovl = overlap_centered(mode, beam).value
-    assert res.modes_used == 1
-    assert res.value.real == pytest.approx(
-        ovl * ovl / (mode.effective_mass * mode.frequency**2), rel=1e-14
-    )
-
-
 def test_chi_eff_brute_force_equivalence(geo, beam):
-    # n <= 2, p <= 2, l = 0, centered: literal term-by-term sum
-    policy = TruncationPolicy(epsilon=0.9, max_modes=100, n_max=2, p_max=2)
+    # n <= 2, l = 0, centered: at epsilon 0.9 each family stops after its
+    # first block of 64 terms, p < 64; literal term-by-term sum
+    policy = TruncationPolicy(epsilon=0.9, n_max=2)
     res = effective_susceptibility(geo, beam, 0.0, policy=policy)
     total = 0.0
     for n in (1, 2):
         mode_mass = effective_mass(geo, ModeIndex(n=n))
-        for p in range(3):
+        for p in range(64):
             ovl = overlap_centered(mode_data(geo, ModeIndex(n=n, p=p)), beam).value
             total += ovl * ovl / (mode_mass * eigenfrequency_sq(geo, n, 2 * p))
     assert res.value.real == pytest.approx(total, rel=1e-12)
-    assert res.modes_used == 6
+    assert res.modes_used == 128
 
 
 def test_chi_eff_zero_frequency_real_positive_monotone(geo, beam):
@@ -287,7 +280,7 @@ def test_spectrum_point_matches_noise_spectrum(geo, beam):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_inputs_rejected(geo, beam, bad):
-    for kwargs in ({"max_modes": bad}, {"n_max": bad}, {"p_max": bad}, {"epsilon": bad}):
+    for kwargs in ({"max_modes": bad}, {"n_max": bad}, {"epsilon": bad}):
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
     with pytest.raises(ValueError):
@@ -368,7 +361,7 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
         block = 64
         tail_n = 0.0
         while True:
-            count = min(block, policy.p_max + 1 - p0)
+            count = block
             p = np.arange(p0, p0 + count, dtype=float)
             ovl2 = ovl2_head * q2 ** (p - p0)
             om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
@@ -396,8 +389,6 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
                     f"mode budget {policy.max_modes} exhausted at n={n}, p={p_next}",
                     partial=_oracle_result(total + s_n, omega, modes_used, math.inf, per_n, policy),
                 )
-            if p_next > policy.p_max:
-                break
             target = policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max)
             if tail_n <= target:
                 break
@@ -431,8 +422,6 @@ def assert_matches_oracle(geometry, beam, omega, policy, loss_angle=1e-6):
 ORACLE_OMEGAS = (0.0, 2e2, 2.5e5, 2.7e5, 2.9e5, 1e6)
 ORACLE_POLICIES = (
     TruncationPolicy(),
-    TruncationPolicy(p_max=100),  # the second block is cut short at 37 terms
-    TruncationPolicy(p_max=40),  # the first block is cut short
     TruncationPolicy(n_max=1),
     TruncationPolicy(n_max=50),
     TruncationPolicy(n_max=400),
@@ -509,7 +498,6 @@ def _oracle_chi_offaxis(geometry, beam, omegas, phis, policy):
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
-    shell_cap = min(2 * policy.p_max + policy.l_max, 60_000)
     table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
 
     totals = [0.0 if omega == 0.0 else 0.0 + 0.0j for omega in omegas]
@@ -522,7 +510,7 @@ def _oracle_chi_offaxis(geometry, beam, omegas, phis, policy):
             at_zero = omega == 0.0
             smax = 64
             while True:
-                smax = min(smax, shell_cap)
+                smax = min(smax, 60_000)
                 traces = table.traces(n, smax)
                 s_idx = np.arange(smax + 1, dtype=float)
                 om2 = om_m2 * (n * n + curv * n * (s_idx + 1.0))
@@ -535,7 +523,7 @@ def _oracle_chi_offaxis(geometry, beam, omegas, phis, policy):
                     abs_terms = np.abs(cterms)
                 tail_beyond = _oracle_shell_tail_estimate(abs_terms)
                 target = policy.epsilon * abs(totals[k] + cterms.sum()) / (2.0 * policy.n_max)
-                if tail_beyond <= target or smax >= shell_cap:
+                if tail_beyond <= target or smax >= 60_000:
                     break
                 smax *= 2
             remainder = np.cumsum(abs_terms[::-1])[::-1]
@@ -587,7 +575,6 @@ OFFAXIS_POLICIES = (
     TruncationPolicy(n_max=1),
     TruncationPolicy(n_max=50),
     TruncationPolicy(epsilon=1e-6, n_max=50),
-    TruncationPolicy(p_max=2, l_max=3),  # shell cap 7: every level is cut short
 )
 
 
@@ -642,24 +629,6 @@ def test_offaxis_sum_matches_oracle_property(waist, offset, epsilon, omegas):
     assert_offaxis_matches_oracle(geometry, BeamSpec(waist=waist, offset=offset), omegas, policy)
 
 
-@pytest.mark.parametrize("p_max, l_max", [(1, 1), (0, 0)])
-def test_offaxis_sum_with_too_few_shells_to_extrapolate(geo, p_max, l_max):
-    # 4 or 1 shells per family leave no stride for the tail estimate: the sum
-    # keeps them all and reports itself unconverged instead of failing
-    beam = BeamSpec(waist=0.02, offset=0.03)
-    res = effective_susceptibility(geo, beam, 0.0, None, TruncationPolicy(p_max=p_max, l_max=l_max))
-    smax = 2 * p_max + l_max
-    om_m2 = fundamental_frequency(geo) ** 2
-    curv = (2.0 / math.pi) * math.sqrt(geo.thickness / geo.curvature_radius)
-    table = ShellTraceTable(geo, beam, range(1, 201))
-    expected = 0.0
-    for n in range(1, 201):
-        expected += float((table.traces(n, smax) / (om_m2 * (n * n + curv * n * (np.arange(smax + 1.0) + 1.0)))).sum())
-    assert res.value == expected
-    assert res.modes_used == 200 * (smax + 1)
-    assert res.tail_bound == math.inf and not res.converged
-
-
 def test_shell_tail_estimate_of_zero_rows():
     # a row of zeros has not reached its peak yet; one that decayed to zeros has passed it
     decayed = np.array([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -683,3 +652,8 @@ def test_offaxis_families_with_zero_heads_are_summed(geo):
     assert [s == 0.0 for s in res.per_n] == (direct == 0.0).tolist()
     assert direct.sum() * (1.0 - 1e-3) <= res.value.real <= direct.sum() * 1.01
     assert res.tail_bound == math.inf and not res.converged
+    # the convergence study's term pool keeps these families too; the direct
+    # sum stops at 8,192 shells, short of where these families end
+    saturated = convergence_study(geo, beam, 1e-6, [10**9])[0][1]
+    assert direct.sum() * (1.0 - 1e-3) <= saturated <= direct.sum() * 1.01
+    assert saturated == pytest.approx(res.value.real, rel=1e-4)
