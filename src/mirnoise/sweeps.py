@@ -205,8 +205,8 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     relative to the largest term of family 1's first 64 shells, as flat arrays
     (terms, n, shell) in ascending n, then shell.  The families still above
     the floor at their last shell, or not yet past their peak there (as
-    _shell_tail_estimate judges it), take the next level (64, 128, ...)
-    together."""
+    _shell_tail_estimate judges it), take the next level (64, 128, ...,
+    SHELL_CAP) together."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
@@ -214,6 +214,7 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     nn, cn = (todo * todo).astype(float), curv * todo
     smax, floor, parts = 64, None, []
     while len(todo):
+        smax = min(smax, SHELL_CAP)
         om2 = om_m2 * (nn[todo - 1] + cn[todo - 1] * (np.arange(smax + 1) + 1.0)[:, None])
         terms = table.block(todo[0], smax)[:, todo - todo[0]] / om2
         if floor is None:

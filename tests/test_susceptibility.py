@@ -17,6 +17,7 @@ from mirnoise.modes import (
 from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
 from mirnoise.susceptibility import (
     BOLTZMANN,
+    SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
     _shell_tail_estimate,
@@ -646,14 +647,23 @@ def test_offaxis_families_with_zero_heads_are_summed(geo):
     res = effective_susceptibility(geo, beam)
     om_m2 = fundamental_frequency(geo) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geo.thickness / geo.curvature_radius)
-    n = np.arange(1.0, 201.0)
-    traces = ShellTraceTable(geo, beam, range(1, 201)).block(1, 8191)
-    direct = (traces / (om_m2 * (n * n + curv * n * np.arange(1.0, 8193.0)[:, None]))).sum(axis=0)
+    # direct family sums over 8,192 shells and over all SHELL_CAP shells,
+    # 50 families to a table to keep the blocks small
+    shells = np.arange(1.0, SHELL_CAP + 2.0)[:, None]
+    direct, full = [], []
+    for lo in range(1, 201, 50):
+        n = np.arange(lo, lo + 50.0)
+        traces = ShellTraceTable(geo, beam, range(lo, lo + 50)).block(lo, SHELL_CAP)
+        terms = traces / (om_m2 * (n * n + curv * n * shells))
+        direct.append(terms[:8192].sum(axis=0))
+        full.append(terms.sum(axis=0))
+    direct, full = np.concatenate(direct), np.concatenate(full)
     assert [s == 0.0 for s in res.per_n] == (direct == 0.0).tolist()
     assert direct.sum() * (1.0 - 1e-3) <= res.value.real <= direct.sum() * 1.01
     assert res.tail_bound == math.inf and not res.converged
-    # the convergence study's term pool keeps these families too; the direct
-    # sum stops at 8,192 shells, short of where these families end
-    saturated = convergence_study(geo, beam, 1e-6, [10**9])[0][1]
+    # the convergence study's term pool keeps these families too, out to
+    # where they end (families 1-7 reach the cap); the pool holds 1.3e10 modes
+    saturated = convergence_study(geo, beam, 1e-6, [10**12])[0][1]
+    assert saturated == pytest.approx(full.sum(), rel=1e-4)
     assert direct.sum() * (1.0 - 1e-3) <= saturated <= direct.sum() * 1.01
     assert saturated == pytest.approx(res.value.real, rel=1e-4)

@@ -133,10 +133,11 @@ def test_convergence_requires_increasing_checkpoints(geo):
 
 def test_convergence_offaxis_checkpoints(geo):
     # at w0 5 mm, d 11 cm some families peak past their first 64 shells;
-    # the last checkpoint takes every term of the study
-    for waist, offset, rel in ((0.02, 0.05, 1e-3), (0.005, 0.11, 1e-4)):
+    # its last checkpoint takes every term of the study (1.4e8 modes)
+    for waist, offset, checkpoints, rel in ((0.02, 0.05, [10, 1000, 100_000], 1e-3),
+                                            (0.005, 0.11, [10, 1000, 100_000, 10**9], 1e-4)):
         beam = BeamSpec(waist=waist, offset=offset)
-        pairs = convergence_study(geo, beam, 1e-6, [10, 1000, 100_000, 10**9])
+        pairs = convergence_study(geo, beam, 1e-6, checkpoints)
         values = [v for _, v in pairs]
         assert all(b >= a for a, b in zip(values, values[1:]))
         ref = effective_susceptibility(geo, beam).value.real
@@ -232,7 +233,7 @@ def _oracle_shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
             past_peak = terms.any() if last == 0.0 and ref == 0.0 else 0.0 < ref and last < ref
             if (terms[-1] < top * floor_rel and past_peak) or smax >= 60_000:
                 break
-            smax *= 2
+            smax = min(2 * smax, 60_000)
         s = np.nonzero(terms >= top * floor_rel)[0]
         per_n.append((terms[s], np.full(len(s), n), s))
     return tuple(np.concatenate(parts) for parts in zip(*per_n))
@@ -242,10 +243,11 @@ def _oracle_shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
 def test_shell_term_pool_matches_oracle(thickness):
     geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
     # the narrow beam's families run to 8192-32768 shells, so it stops at n = 40;
-    # at w0 5 mm, d 11 cm the far families peak past their first 64 shells
+    # at w0 5 mm, d 11 cm the far families peak past their first 64 shells, and
+    # at w0 1 mm, d 18.5 cm families 1-7 run to the 60,000-shell cap
     for waist, offset, n_caps in ((0.005, 0.001, (1, 7, 40)), (0.02, 0.025, (1, 7, 200)),
                                   (0.02, 0.11, (1, 7, 200)), (0.055, 0.185, (1, 7, 200)),
-                                  (0.005, 0.11, (200,))):
+                                  (0.005, 0.11, (200,)), (0.001, 0.185, (200,))):
         beam = BeamSpec(waist=waist, offset=offset)
         for n_max in n_caps:
             got = _shell_term_pool(geometry, beam, n_max)
