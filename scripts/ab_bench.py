@@ -17,6 +17,13 @@ solve_s.  ``--json PATH`` also writes the whole run as one record: both
 revisions, the machine, the settings, every pair's metrics, and per workload
 the median and quartiles of each metric on each side and the solve_s win
 count.  Standard library only; perfbench/ is run, never imported.
+
+After the workloads, ``--e2e N`` (default 3; 0 skips them) times the
+end-to-end cases in E2E_CASES on both trees: the import of the package, CLI
+commands and ``scripts/reproduce_figures.py``, each a fresh interpreter, so
+start-up is included.  Each case runs N times per side, alternating which side
+goes first, and the report gives the best of the N wall times with the exit
+codes seen.
 """
 from __future__ import annotations
 
@@ -30,9 +37,26 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: end-to-end cases: a name and the arguments to the interpreter, run in the
+#: tree with its src/ on the path; {out} is a fresh scratch directory
+E2E_CASES = (
+    ("import mirnoise, mirnoise.cli", ("-c", "import mirnoise, mirnoise.cli")),
+    ("reproduce_figures.py", ("scripts/reproduce_figures.py", "{out}")),
+    ("spectrum --points 200", ("-m", "mirnoise.cli", "spectrum", "--points", "200")),
+    ("spectrum --points 200 --offset 0.05",
+     ("-m", "mirnoise.cli", "spectrum", "--points", "200", "--offset", "0.05")),
+    ("sweep --param offset", ("-m", "mirnoise.cli", "sweep", "--param", "offset")),
+    ("chi0", ("-m", "mirnoise.cli", "chi0")),
+    ("chi0 --waist 1e-3 --offset 0.01", ("-m", "mirnoise.cli", "chi0", "--waist", "1e-3", "--offset", "0.01")),
+    ("chi0 --waist 1e-3 --offset 0.185", ("-m", "mirnoise.cli", "chi0", "--waist", "1e-3", "--offset", "0.185")),
+    ("converge --waist 1e-3 --offset 0.185",
+     ("-m", "mirnoise.cli", "converge", "--waist", "1e-3", "--offset", "0.185")),
+)
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -57,6 +81,34 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not report["correct"]:
         print(f"warning: {report['failed']} failed executions in {tree}", file=sys.stderr)
     return {name: metric["value"] for name, metric in report["metrics"].items()}
+
+
+def run_case(tree: Path, args: tuple) -> tuple[float, int]:
+    """Wall time and exit code of one end-to-end case in tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="ab_bench-out-") as out:
+        argv = [sys.executable, *(a.format(out=out) for a in args)]
+        t0 = time.perf_counter()
+        code = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        return time.perf_counter() - t0, code
+
+
+def end_to_end(trees: dict, repeats: int, rev: str) -> dict:
+    """Best-of-repeats wall time and the exit codes of every case on each side."""
+    record = {}
+    print(f"\nend to end, best of {repeats} wall times (s), start-up included")
+    for name, args in E2E_CASES:
+        runs = {side: [] for side in trees}
+        for i in range(repeats):
+            for side in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                runs[side].append(run_case(trees[side], args))
+        record[name] = {side: {"best_s": min(t for t, _ in r), "runs_s": [t for t, _ in r],
+                               "exit_codes": sorted({c for _, c in r})} for side, r in runs.items()}
+        base, change = record[name]["base"], record[name]["change"]
+        print(f"  {name:40s} {rev} {base['best_s']:.3f} (exit {base['exit_codes']}), "
+              f"working tree {change['best_s']:.3f} (exit {change['exit_codes']})", flush=True)
+    return record
 
 
 def quartiles(values: list[float]) -> dict:
@@ -106,20 +158,23 @@ def machine() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--rev", default="HEAD", help="revision to compare against (default HEAD)")
-    p.add_argument("--workload", required=True, help="one workload or a comma-separated list")
+    p.add_argument("--workload", default="", help="one workload or a comma-separated list (default none)")
     p.add_argument("--seed", type=int, default=1, help="pair i runs seed + i on both sides")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--e2e", type=int, default=3, metavar="N",
+                   help="runs per side of each end-to-end case, best of N reported (0 skips them)")
     p.add_argument("--json", metavar="PATH", help="also write the whole run as a JSON record")
     args = p.parse_args(argv)
 
-    workloads = args.workload.split(",")
+    workloads = [w for w in args.workload.split(",") if w]
     record = {
         "base": {"rev": args.rev, "commit": git("rev-parse", args.rev)},
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "machine": machine(),
-        "settings": {"workloads": workloads, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs},
+        "settings": {"workloads": workloads, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+                     "e2e": args.e2e},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
@@ -141,6 +196,10 @@ def main(argv=None) -> int:
             report(workload, summary, args.rev, args.pairs, args.seconds)
             record["workloads"][workload] = {"pairs": pairs, **summary}
             if args.json:  # rewritten after every workload, so a cut run keeps what it finished
+                Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        if args.e2e > 0:
+            record["end_to_end"] = end_to_end({"base": base, "change": ROOT}, args.e2e, args.rev)
+            if args.json:
                 Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -72,18 +72,35 @@ def overlap_centered(mode: ModeData, beam: BeamSpec) -> OverlapWeight:
 # ---------------------------------------------------------------------------
 
 
+def mehler_parameters(geometry: PlanoConvexGeometry, beam: BeamSpec, n: np.ndarray):
+    """(beta, 2 mu^2, x, c0) of the families n, which give their shell traces'
+    generating function (Mehler's formula, DLMF 18.18.28)
+
+        sum_s T_s t^s = c0 exp(-x (1 - t) / (1 + beta t)) / (1 - beta^2 t^2)
+                      = C exp(2 mu^2 t / (1 + beta t)) / (1 - beta^2 t^2),
+
+    with c0 the (0, 0) mode's centered overlap^2 / mass (kg^-1), x = 2 mu^2 /
+    (1 + beta) = 4 d^2 / (w0^2 + 2 w_n^2) and C = T_0 = c0 e^-x.
+    """
+    wn2 = acoustic_waist_sq(geometry, n)
+    w02, d = beam.waist * beam.waist, beam.offset
+    g = wn2 / w02
+    beta = 1.0 - 1.0 / (0.5 + g)
+    mu2x2 = 2.0 * (g * (math.sqrt(2.0) * d / np.sqrt(wn2)) / (0.5 + g)) ** 2
+    x = 4.0 * d * d / (w02 + 2.0 * wn2)
+    c0 = 16.0 * wn2 / (math.pi * geometry.material.density * geometry.thickness * (w02 + 2.0 * wn2) ** 2)
+    return beta, mu2x2, x, c0
+
+
 class ShellTraceTable:
     """Shell traces (overlap^2 / mass per shell) of a range of families, one
     geometry and beam.
 
     The traces T_s of a family are the Cauchy product of its squared offset
-    and centered 1D Hermite beam factors, so by
-    Mehler's formula (DLMF 18.18.28)
-
-        sum_s T_s t^s = C exp(2 mu^2 t / (1 + beta t)) / (1 - beta^2 t^2),  C = T_0.
-
-    With e_s the coefficients of the exponential and d_s = e_{s+1} + beta e_s,
-    its differential equation gives, from e_0 = d_{-1} = 1 and T_{-1} = 0,
+    and centered 1D Hermite beam factors, so Mehler's formula sums them in
+    closed form (see mehler_parameters).  With e_s the coefficients of
+    exp(2 mu^2 t / (1 + beta t)) and d_s = e_{s+1} + beta e_s, its
+    differential equation gives, from e_0 = d_{-1} = 1 and T_{-1} = 0,
 
         (s+1) d_s = 2 mu^2 e_s - beta (s-1) d_{s-1},   e_{s+1} = d_s - beta e_s,
         T_{s+1} = C e_{s+1} + beta^2 T_{s-1}.
@@ -99,18 +116,13 @@ class ShellTraceTable:
 
     def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
         self._first = families.start  # family of column 0
-        wn2 = acoustic_waist_sq(geometry, np.arange(families.start, families.stop, dtype=float))
-        w02, d = beam.waist * beam.waist, beam.offset
-        g = wn2 / w02
-        self._beta = 1.0 - 1.0 / (0.5 + g)
-        self._mu2x2 = 2.0 * (g * (math.sqrt(2.0) * d / np.sqrt(wn2)) / (0.5 + g)) ** 2
+        n = np.arange(families.start, families.stop, dtype=float)
+        self._beta, self._mu2x2, x, c0 = mehler_parameters(geometry, beam, n)
         self._beta2 = self._beta * self._beta
         # C = c0 e^-x, the (0, 0) mode's overlap^2 / mass, underflows far off
         # axis, though the traces sum to G(1) = c0 / (1 - beta^2): such a family
         # runs as 2^k T_s, with 2^k C near e^-700 and 2^k G(1) below 2^1016
         # (past x = 1400 or so, 2^k C is subnormal and loses digits)
-        c0 = 16.0 * wn2 / (math.pi * geometry.material.density * geometry.thickness * (w02 + 2.0 * wn2) ** 2)
-        x = 4.0 * d * d / (w02 + 2.0 * wn2)
         k = np.maximum(np.floor(np.minimum((x - 700.0) / math.log(2.0),
                                            1016.0 - np.log2(c0 / (1.0 - self._beta2)))), 0.0)
         self._unscale = np.exp2(-k) if k.any() else None

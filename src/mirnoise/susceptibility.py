@@ -9,6 +9,7 @@ force and displacement noise spectra (one-sided, in angular frequency).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .geometry import PlanoConvexGeometry, check_loss_angle
 from .modes import ModeData, acoustic_waist_sq, fundamental_frequency
-from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
+from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror, mehler_parameters
 
 #: Boltzmann constant, J/K (exact SI value)
 BOLTZMANN = 1.380649e-23
@@ -42,8 +43,10 @@ class TruncationPolicy:
     The model is the infinite sum over every mode; these settings only say
     where the computation stops.
 
-    epsilon    relative tail tolerance for the reported susceptibility
-    max_modes  hard budget; exceeding it raises BudgetExceededError
+    epsilon    relative tail tolerance for the reported susceptibility (off
+               axis at omega = 0: for its quadrature error estimate)
+    max_modes  hard budget of explicitly summed terms; exceeding it raises
+               BudgetExceededError (an off-axis sum at omega = 0 sums none)
     n_max      computational cap on the longitudinal index; the families
                above it are left out, and tail_bound does not cover them
     """
@@ -69,8 +72,9 @@ class SusceptibilityResult:
     """Modal sum outcome (m/N) with its truncation diagnostics.
 
     tail_bound is relative to |value|.  For centered beams it is a rigorous
-    geometric bound; off-center it is an extrapolated estimate and
-    tail_is_estimate is set.
+    geometric bound; off-center it is an estimate and tail_is_estimate is
+    set: an extrapolation of the summed shells at omega > 0, the quadrature's
+    error estimate at omega = 0 (where modes_used is 0).
     """
 
     value: complex
@@ -134,13 +138,17 @@ def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> 
 
 def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
     """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|,
-    elementwise over the families n.
+    elementwise over the families n, or for the one family n of a float.
 
     Omega^2 grows linearly in s, so the minimum sits at shell_start or at a
     shell either side of the crossing with omega^2.
     """
     om2 = omega * omega
     s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
+    if isinstance(n, float):  # Python scalars cost a fifth of numpy's calls on one family
+        shells = (shell_start, max(math.floor(s_cross), shell_start), max(math.ceil(s_cross), shell_start))
+        w2 = [om_m2 * (n * n + curv * n * (s + 1.0)) for s in shells]
+        return min(abs(complex(w - om2, -w * phi)) for w in w2)
     s = np.maximum([shell_start, np.floor(s_cross), np.ceil(s_cross)], shell_start)
     w2 = om_m2 * (n * n + curv * n * (s + 1.0))
     return np.hypot(w2 - om2, -w2 * phi).min(axis=0)
@@ -214,8 +222,10 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                 total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
             if k == len(n):
                 break
-        # that family alone: further blocks until its tail meets its target
+        # that family alone: further blocks until its tail meets its target,
+        # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
         s_n, p, tail_n = sums[k].item(), first, tails[k]
+        n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
         while True:
             if used + p > policy.max_modes:
                 raise BudgetExceededError(
@@ -227,11 +237,11 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                 break
             # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
             count = min(p + 64, 8192)
-            block = _centered_block(om_m2, curv, n[k], mass[k], head[k], q2[k], p, count, omega, phi)
+            block = _centered_block(om_m2, curv, n_k, mass_k, head[k].item(), q2_k, p, count, omega, phi)
             s_n += block.item()
-            head[k] *= float(q2[k]) ** count
+            head[k] *= q2_k.item() ** count
             p += count
-            tail_n = _centered_tail(om_m2, curv, n[k], mass[k], q2[k], head[k], p, omega, phi)
+            tail_n = _centered_tail(om_m2, curv, n_k, mass_k, q2_k, head[k].item(), p, omega, phi)
         sums[k], tails[k] = s_n, tail_n
         total, used, k = total + s_n, used + p, k + 1
         # walk on in vector steps once a family needs no further block; in a
@@ -266,8 +276,7 @@ def _offaxis_family(table, n, om2, w2, phi, totals, policy):
     """Family n's (kept sum, tail estimate, shell count) for each row of a
     frequency grid: omega^2 in w2, loss angles in phi and the running totals
     over the lower families in totals.  om2(smax) gives the family's Omega^2
-    up to shell smax.  phi is None for the one zero-frequency row, whose
-    terms stay real.
+    up to shell smax.
 
     Every row takes the first 64 shells; the rows whose tail misses their
     target go on together to the next level, of twice as many shells.  The
@@ -280,11 +289,8 @@ def _offaxis_family(table, n, om2, w2, phi, totals, policy):
         smax = min(smax, SHELL_CAP)
         traces = table.traces(n, smax)
         om2_s = om2(smax)
-        if phi is None:
-            terms = abs_terms = (traces / om2_s)[None]
-        else:
-            terms = traces / (om2_s - w2[:, None] - 1j * om2_s * phi[:, None])
-            abs_terms = np.abs(terms)
+        terms = traces / (om2_s - w2[:, None] - 1j * om2_s * phi[:, None])
+        abs_terms = np.abs(terms)
         sums = np.add.reduce(terms, axis=1).tolist()
         targets = [policy.epsilon * abs(totals[k] + s) / (2.0 * policy.n_max) for k, s in zip(todo, sums)]
         tails = _shell_tail_estimate(abs_terms)
@@ -306,68 +312,154 @@ def _offaxis_family(table, n, om2, w2, phi, totals, policy):
                 break
             still = [i for i, d in enumerate(done) if not d]
             todo = [todo[i] for i in still]
-            if phi is not None:
-                w2, phi = w2[still], phi[still]
+            w2, phi = w2[still], phi[still]
         smax *= 2
     return found
 
 
+#: Gauss-Legendre nodes per piece of an off-axis family integral
+_GL_NODES = 64
+#: equal pieces of the integration interval for the value, and for the
+#: coarser rule whose difference from it is the error estimate
+_GL_PIECES, _GL_CHECK_PIECES = 8, 4
+#: families integrated at once: the temporaries are _FAMILY_CHUNK x _GL_NODES
+_FAMILY_CHUNK = 256
+
+
+@functools.cache
+def _gauss_legendre():
+    """Nodes on (0, 1) and weights of the _GL_NODES-point Gauss-Legendre rule;
+    numpy.polynomial is imported on first use only."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_GL_NODES)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def _family_integrals(beta, x, a1, pieces, plain):
+    """int_0^1 e^(-x u) t^a1 du / (1 - beta + 2 beta u), t = (1 - u)/(1 + beta u),
+    per family, by the Gauss-Legendre rule on `pieces` equal pieces.
+
+    The variable is v = log(1 - beta + 2 beta u), so du / (1 - beta + 2 beta u)
+    = dv / (2 beta): that takes out the near-pole at u = 0 of narrow beams
+    (beta -> 1).  Where e^v - (1 - beta) would cancel (plain, |beta| < 1e-3)
+    the variable is u itself.  The integrand is one exp of its log, which
+    stays in range however large x and a1 are.
+    """
+    nodes, weights = _gauss_legendre()
+    if plain:
+        lo, hi, jac = np.zeros_like(beta), np.ones_like(beta), 1.0
+    else:
+        lo, hi, jac = np.log1p(-beta), np.log1p(beta), 0.5 / beta
+    width = (hi - lo) / pieces
+    # e^v = 1 - beta + 2 beta u: u = (e^v - (1 - beta)) jac, t = (1 + beta - e^v) / (beta (1 + beta + e^v))
+    xj = x * jac
+    beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
+    total = np.zeros(len(beta))
+    for k in range(pieces):
+        var = lo + col * (k + nodes)
+        if plain:
+            log_f = a1 * np.log((1.0 - var) / (1.0 + beta * var)) - x * var
+        else:
+            e = np.exp(var)
+            log_f = a1 * np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e))) - xj * (e - (1.0 - beta))
+        # the integrand is 1 at u = 0: below e^-700 it is nothing, and exp
+        # would take its slow underflow path
+        f = np.exp(np.maximum(log_f, -700.0))
+        if plain:
+            f /= 1.0 - beta + 2.0 * beta * var
+        total += f @ weights
+    return total * width * jac
+
+
+def _chi0_offaxis(geometry, beam, om_m2, curv, policy):
+    """Zero-frequency modal sum for a displaced beam, each family's shell sum
+    as one integral: (total, summed error estimate, per-family sums).
+
+    With Omega_s^2 = Omega_M^2 curv n (s + a), a = 1 + n/curv, and
+    1/(s + a) = int_0^1 t^(s+a-1) dt, the family's sum_s T_s / Omega_s^2 is
+    int_0^1 t^(a-1) G(t) dt / (Omega_M^2 curv n), with G the generating
+    function of its shell traces (see mehler_parameters).  u = (1-t)/(1+beta t)
+    turns it into
+
+        (c0 / (Omega_M^2 curv n)) int_0^1 e^(-x u) ((1-u)/(1+beta u))^(a-1) du / (1 - beta + 2 beta u).
+
+    No shell is summed and nothing is cut, so modes_used is 0; the error
+    estimate is |I_8 - I_4|, the difference of the rules on 8 and 4 pieces.
+    """
+    n = np.arange(1.0, policy.n_max + 1.0)
+    beta, _, x, c0 = mehler_parameters(geometry, beam, n)
+    a1 = n / curv
+    value, check = np.empty(len(n)), np.empty(len(n))
+    plain = np.abs(beta) < 1e-3
+    for form in (True, False):
+        families = np.flatnonzero(plain == form)
+        for lo in range(0, len(families), _FAMILY_CHUNK):
+            f = families[lo : lo + _FAMILY_CHUNK]
+            value[f] = _family_integrals(beta[f], x[f], a1[f], _GL_PIECES, form)
+            check[f] = _family_integrals(beta[f], x[f], a1[f], _GL_CHECK_PIECES, form)
+    scale = c0 / (om_m2 * curv * n)
+    sums, errors = scale * value, scale * np.abs(value - check)
+    return np.add.reduce(sums).item(), np.add.reduce(errors).item(), sums.tolist()
+
+
 def _chi_offaxis(geometry, beam, omegas, phis, policy):
-    """Modal sums for a displaced beam at each omega of a grid, shell by shell.
+    """Modal sums for a displaced beam at each omega of a grid.
 
     Within a degenerate (n, 2p+l) shell the mass-normalized overlap-squared sum
     is basis independent, so it is evaluated in the separable Hermite-Gauss
     basis (Mehler's formula, see ShellTraceTable) instead of mode by mode; each shell
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
-    (sine modes vanish identically).  modes_used counts these shell summands.
-    The per-family tail is an extrapolated estimate, not a bound.  Families
-    run outermost, so each family's shell traces serve every omega; within a
-    family the omegas are the rows of one (omega x shell) array per level.
+    (sine modes vanish identically).  omega = 0 takes each family's whole
+    shell sum as one integral (_chi0_offaxis).  Every other omega sums shell
+    by shell, and modes_used counts these shell summands; the per-family tail
+    is an extrapolated estimate, not a bound.  Families run outermost, so
+    each family's shell traces serve every omega; within a family the omegas
+    are the rows of one (omega x shell) array per level.
     """
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    results = [None] * len(omegas)
+    rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
+    if len(rows) < len(omegas):
+        total, tail, per_n = _chi0_offaxis(geometry, beam, om_m2, curv, policy)
+        for k, omega in enumerate(omegas):
+            if omega == 0.0:
+                results[k] = _result(total, omega, 0, tail, True, per_n, policy)
+    if not rows:
+        return results
+
     table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
     shells = np.arange(1.0, SHELL_CAP + 2.0)  # s + 1
-
-    # rows: one real row for omega = 0, however often the grid holds it (its
-    # rows would all be alike), then a complex row for every other omega
-    nonzero = [k for k, omega in enumerate(omegas) if omega != 0.0]
-    z = int(len(nonzero) < len(omegas))
-    row_of = [0] * len(omegas)
-    for r, k in enumerate(nonzero, start=z):
-        row_of[k] = r
-    w2 = np.array([omegas[k] * omegas[k] for k in nonzero])
-    phi = np.array([phis[k] for k in nonzero], dtype=float)
-    groups = [g for g in ((range(z), None, None), (range(z, z + len(nonzero)), w2, phi)) if len(g[0])]
-    totals = [0.0] * z + [0.0 + 0.0j] * len(nonzero)
-    tails = [0.0] * len(totals)
-    modes = [0] * len(totals)
-    per_n = [[] for _ in totals]
-
+    w2 = np.array([omegas[k] * omegas[k] for k in rows])
+    phi = np.array([phis[k] for k in rows], dtype=float)
+    totals = [0.0 + 0.0j] * len(rows)
+    tails = [0.0] * len(rows)
+    modes = [0] * len(rows)
+    per_n = [[] for _ in rows]
     for n in range(1, policy.n_max + 1):
         def om2(smax):  # Omega^2 of shells 0..smax
             return om_m2 * (n * n + curv * n * shells[: smax + 1])
 
-        sums, tails_n = [None] * len(totals), [None] * len(totals)
-        for rows, w2, phi in groups:
-            found = _offaxis_family(table, n, om2, w2, phi, totals[rows.start : rows.stop], policy)
-            for r, (s_n, tail_n, count) in zip(rows, found):
-                # one summand per degenerate shell; each shell trace folds in
-                # its s//2 + 1 coupled cosine modes analytically
-                sums[r], tails_n[r], modes[r] = s_n, tail_n, modes[r] + count
-        for k, r in enumerate(row_of):
+        found = _offaxis_family(table, n, om2, w2, phi, totals, policy)
+        for r, (s_n, _, count) in enumerate(found):
+            # one summand per degenerate shell; each shell trace folds in
+            # its s//2 + 1 coupled cosine modes analytically
+            modes[r] += count
             if modes[r] > policy.max_modes:
                 raise BudgetExceededError(
                     f"mode budget {policy.max_modes} exhausted at n={n}",
-                    partial=_result(totals[r] + sums[r], omegas[k], modes[r], math.inf, True, per_n[r], policy),
+                    partial=_result(totals[r] + s_n, omegas[rows[r]], modes[r], math.inf, True, per_n[r],
+                                    policy),
                 )
-        for r, s_n in enumerate(sums):
+        for r, (s_n, tail_n, _) in enumerate(found):
             totals[r] += s_n
-            tails[r] += tails_n[r]
+            tails[r] += tail_n
             per_n[r].append(s_n)
-    return [_result(totals[r], omega, modes[r], tails[r], True, per_n[r], policy)
-            for omega, r in zip(omegas, row_of)]
+    for r, k in enumerate(rows):
+        results[k] = _result(totals[r], omegas[k], modes[r], tails[r], True, per_n[r], policy)
+    return results
 
 
 def effective_susceptibility_grid(

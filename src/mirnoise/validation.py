@@ -316,6 +316,45 @@ def shell_overlap_sq_over_mass(
     return ShellTraceTable(geometry, beam, range(n, n + 1)).traces(n, max_shell).copy()
 
 
+def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: int, dps: int = 30) -> float:
+    """sum_s T_s / Omega_s^2 of family n (m/N), the shell traces' whole sum at
+    omega = 0, as an mpmath quadrature of the t-form
+
+        int_0^1 t^(a-1) G(t) dt / (Omega_M^2 curv n),   a = 1 + n / curv,
+
+    with G(t) = c0 exp(-x (1 - t) / (1 + beta t)) / (1 - beta^2 t^2) the
+    traces' generating function (Mehler's formula).  The family's parameters
+    are formed here in dps digits from the geometry and beam.  Raises
+    QuadratureConvergenceError if the quadrature's own error estimate exceeds
+    10^(-dps/2) of the value.
+    """
+    with mp.workdps(dps):
+        h, radius = mp.mpf(geometry.thickness), mp.mpf(geometry.curvature_radius)
+        wn2 = 2 * h / (n * mp.pi) * mp.sqrt(radius * h)
+        w02, d = mp.mpf(beam.waist) ** 2, mp.mpf(beam.offset)
+        beta = 1 - 1 / (mp.mpf(0.5) + wn2 / w02)
+        x = 4 * d * d / (w02 + 2 * wn2)
+        c0 = 16 * wn2 / (mp.pi * mp.mpf(geometry.material.density) * h * (w02 + 2 * wn2) ** 2)
+        curv = 2 / mp.pi * mp.sqrt(h / radius)
+        om_m2 = (mp.pi * mp.mpf(geometry.material.sound_velocity) / h) ** 2
+        a1 = n / curv
+
+        def f(t):
+            return mp.exp(a1 * mp.log(t) - x * (1 - t) / (1 + beta * t)) / (1 - beta * beta * t * t)
+
+        # the integrand lives within about 1/(a - 1 + x) of t = 1, and a narrow
+        # beam's pole at t = 1/beta lies 1 - beta beyond it
+        scales = [4**k / (a1 + x) for k in range(-2, 12)] + [(1 - beta) * 4**k for k in range(4)]
+        points = sorted({mp.mpf(0), mp.mpf(1), *(1 - s for s in scales if s < 1)})
+        value, error = mp.quad(f, points, error=True)
+        if error > mp.mpf(10) ** (-dps // 2) * abs(value):
+            raise QuadratureConvergenceError(
+                f"family {n}: quadrature error {mp.nstr(error, 3)} of {mp.nstr(value, 10)}",
+                last_value=float(value),
+            )
+        return float(c0 * value / (om_m2 * curv * n))
+
+
 # ---------------------------------------------------------------------------
 # Quadrature oracle
 # ---------------------------------------------------------------------------

@@ -265,7 +265,8 @@ def test_runtime_imports_no_validation_code():
 import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
 import mirnoise, mirnoise.cli
-for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["spectrum", "--points", "3"], ["converge"]):
+for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["chi0", "--waist", "0.001", "--offset", "0.185"],
+             ["spectrum", "--points", "3"], ["converge"]):
     assert mirnoise.cli.main(argv) == 0, argv
 assert "mirnoise.validation" not in sys.modules
 """

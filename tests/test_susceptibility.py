@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from mirnoise.modes import (
     fundamental_frequency,
     mode_data,
 )
-from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
+from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters, overlap_centered
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SHELL_CAP,
@@ -30,7 +31,7 @@ from mirnoise.susceptibility import (
     thermal_force_spectrum,
 )
 from mirnoise.sweeps import convergence_study
-from mirnoise.validation import shell_overlap_sq_over_mass
+from mirnoise.validation import family_zero_frequency_sum, shell_overlap_sq_over_mass
 
 
 @pytest.fixture(scope="module")
@@ -465,9 +466,11 @@ def test_centered_sum_matches_oracle_property(thickness, waist, epsilon, omega):
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the off-axis modal sum: the per-(family, omega) loop that the
-# (omega x shell) array sum replaced, kept verbatim.  The library must
-# reproduce its results, budget errors and partial results exactly.
+# Oracle for the off-axis modal sum at omega > 0: the per-(family, omega) loop
+# that the (omega x shell) array sum replaced, kept verbatim.  The library
+# must reproduce its results, budget errors and partial results exactly.
+# At omega = 0 the library integrates each family's shell sum instead
+# (_chi0_offaxis); those rows are checked against direct shell sums.
 # ---------------------------------------------------------------------------
 
 
@@ -562,11 +565,67 @@ def _grid_outcome(chi, *args):
     return "ok", results, types
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_family_sums(geometry, beam, n_max, chunk=25):
+    """Direct zero-frequency shell sums sum_s T_s / Omega_s^2 of families
+    1..n_max, from the shell-trace table out to at most SHELL_CAP shells, and
+    which of them are complete: by the sum rule sum_s T_s = G(1) = c0 / (1 -
+    beta^2), |G(1) - sum of the traces| / (the smallest Omega^2 left) is at
+    most 1e-12 of the family's sum.  A family whose traces lose digits far
+    off axis misses the sum rule and counts as incomplete too."""
+    om_m2 = fundamental_frequency(geometry) ** 2
+    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    n = np.arange(1.0, n_max + 1.0)
+    beta, _, _, c0 = mehler_parameters(geometry, beam, n)
+    g1 = c0 / (1.0 - beta * beta)
+    sums, traced, complete = np.zeros(n_max), np.zeros(n_max), np.zeros(n_max, dtype=bool)
+    for lo in range(1, n_max + 1, chunk):  # a table of `chunk` families keeps the blocks small
+        f = slice(lo - 1, min(lo - 1 + chunk, n_max))
+        table = ShellTraceTable(geometry, beam, range(lo, f.stop + 1))
+        done, smax = -1, 64
+        while True:
+            new = table.block(lo, smax)[done + 1 :]  # shells done + 1..smax
+            shells = np.arange(done + 2.0, smax + 2.0)[:, None]  # s + 1
+            sums[f] += (new / (om_m2 * (n[f] * n[f] + curv * n[f] * shells))).sum(axis=0)
+            traced[f] += new.sum(axis=0)
+            left = (g1[f] - traced[f]) / (om_m2 * (n[f] * n[f] + curv * n[f] * (smax + 2.0)))
+            complete[f] = np.abs(left) <= 1e-12 * sums[f]
+            if complete[f].all() or smax >= SHELL_CAP:
+                break
+            done, smax = smax, min(2 * smax, SHELL_CAP)
+    return sums, complete
+
+
+def assert_zero_frequency_offaxis(geometry, beam, res, policy):
+    """An omega = 0 off-axis result against the direct shell sums of its
+    families, within 1e-10; a family whose direct sum is incomplete is checked
+    against the mpmath quadrature of its t-form instead."""
+    direct, complete = _direct_family_sums(geometry, beam, policy.n_max)
+    for n in np.flatnonzero(~complete) + 1:
+        direct[n - 1] = family_zero_frequency_sum(geometry, beam, int(n))
+    assert res.frequency == 0.0 and res.value.imag == 0.0
+    assert res.modes_used == 0 and res.tail_is_estimate and res.converged
+    assert all(type(s) is float for s in res.per_n)
+    np.testing.assert_allclose(res.per_n, direct, rtol=1e-10, atol=0.0)
+    assert res.value.real == pytest.approx(direct.sum(), rel=1e-10)
+
+
 def assert_offaxis_matches_oracle(geometry, beam, omegas, policy, loss_angle=1e-6):
-    phis = [loss_angle if omega > 0 else 0.0 for omega in omegas]
-    expected = _grid_outcome(_oracle_chi_offaxis, geometry, beam, omegas, phis, policy)
+    """The omega > 0 rows (or the budget error) == the oracle's on those rows;
+    every omega = 0 row checked against direct shell sums."""
+    rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
+    expected = _grid_outcome(_oracle_chi_offaxis, geometry, beam, [omegas[k] for k in rows], [loss_angle] * len(rows),
+                             policy)
     got = _grid_outcome(effective_susceptibility_grid, geometry, beam, omegas, loss_angle, policy)
-    assert got == expected
+    if got[0] == "budget":
+        assert got == expected
+        return
+    _, results, types = got
+    assert ("ok", [results[k] for k in rows], [types[k] for k in rows]) == expected
+    zero = [results[k] for k in range(len(omegas)) if k not in rows]
+    if zero:
+        assert_zero_frequency_offaxis(geometry, beam, zero[0], policy)
+        assert all(r == zero[0] for r in zero)
 
 
 #: 0 first and in the middle, a repeated omega, across the 2.7e5 rad/s resonance
@@ -610,10 +669,14 @@ def test_offaxis_narrow_beam_matches_oracle(geo):
 def test_offaxis_budget_overrun_matches_oracle(geo, max_modes):
     beam = BeamSpec(waist=0.02, offset=0.03)
     policy = TruncationPolicy(max_modes=max_modes)
-    for omegas in ([0.0], [2.7e5], *OFFAXIS_GRIDS):
+    for omegas in ([2.7e5], *OFFAXIS_GRIDS):
         assert_offaxis_matches_oracle(geo, beam, list(omegas), policy)
     with pytest.raises(BudgetExceededError):
         effective_susceptibility_grid(geo, beam, list(OFFAXIS_GRIDS[0]), 1e-6, policy)
+    # max_modes budgets explicit shells only: omega = 0 sums none
+    res = effective_susceptibility(geo, beam, 0.0, 1e-6, policy)
+    assert res.modes_used == 0
+    assert_zero_frequency_offaxis(geo, beam, res, policy)
 
 
 @given(
@@ -641,29 +704,81 @@ def test_shell_tail_estimate_of_zero_rows():
 
 
 def test_offaxis_families_with_zero_heads_are_summed(geo):
-    # at w0 1 mm, d 18.5 cm the first 64 terms of families 135-200 underflow
-    # to 0; 135-196 peak later, while 197-200 stay 0 up to the 60,000-shell cap
+    # at w0 1 mm, d 18.5 cm (x up to 1,466) the table reads families 197-200
+    # as 0 out to the 60,000-shell cap: their scaled T_0 is subnormal.  Their
+    # integrals still hold them, to the digits of an mpmath quadrature
     beam = BeamSpec(waist=0.001, offset=0.185)
     res = effective_susceptibility(geo, beam)
-    om_m2 = fundamental_frequency(geo) ** 2
-    curv = (2.0 / math.pi) * math.sqrt(geo.thickness / geo.curvature_radius)
-    # direct family sums over 8,192 shells and over all SHELL_CAP shells,
-    # 50 families to a table to keep the blocks small
-    shells = np.arange(1.0, SHELL_CAP + 2.0)[:, None]
-    direct, full = [], []
-    for lo in range(1, 201, 50):
-        n = np.arange(lo, lo + 50.0)
-        traces = ShellTraceTable(geo, beam, range(lo, lo + 50)).block(lo, SHELL_CAP)
-        terms = traces / (om_m2 * (n * n + curv * n * shells))
-        direct.append(terms[:8192].sum(axis=0))
-        full.append(terms.sum(axis=0))
-    direct, full = np.concatenate(direct), np.concatenate(full)
-    assert [s == 0.0 for s in res.per_n] == (direct == 0.0).tolist()
-    assert direct.sum() * (1.0 - 1e-3) <= res.value.real <= direct.sum() * 1.01
-    assert res.tail_bound == math.inf and not res.converged
-    # the convergence study's term pool keeps these families too, out to
-    # where they end (families 1-7 reach the cap); the pool holds 1.3e10 modes
+    assert res.converged and res.modes_used == 0
+    for n in (150, 197, 198, 199, 200):
+        assert res.per_n[n - 1] == pytest.approx(family_zero_frequency_sum(geo, beam, n), rel=1e-12)
+    # the convergence study's term pool keeps what the table holds, out to
+    # where each family ends (families 1-7 reach the cap); the pool holds 1.3e10 modes
     saturated = convergence_study(geo, beam, 1e-6, [10**12])[0][1]
-    assert saturated == pytest.approx(full.sum(), rel=1e-4)
-    assert direct.sum() * (1.0 - 1e-3) <= saturated <= direct.sum() * 1.01
-    assert saturated == pytest.approx(res.value.real, rel=1e-4)
+    assert saturated == pytest.approx(res.value.real - sum(res.per_n[196:]), rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# The zero-frequency off-axis kernel: each family's shell sum as one
+# integral, against direct shell sums and against mpmath
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "thickness, waist, offset",
+    [
+        (0.04, 0.001, 1e-4),
+        (0.04, 0.06, 0.185),  # beta < 0 from family 4 on
+        (0.07, 0.001, 0.01),
+        (0.07, 0.001, 0.185),
+        (0.07, 0.005, 0.03),
+        (0.07, 0.02, 0.11),
+        (0.12, 0.003, 0.05),
+        (0.12, 0.01, 0.1),
+        (0.12, 0.06, 1e-4),
+    ],
+)
+def test_offaxis_family_integrals_match_direct_sums(thickness, waist, offset):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=offset)
+    res = effective_susceptibility(geometry, beam)
+    direct, complete = _direct_family_sums(geometry, beam, 200)
+    assert complete.sum() >= 190  # narrow beams' lowest families run past SHELL_CAP
+    np.testing.assert_allclose(np.array(res.per_n)[complete], direct[complete], rtol=1e-10, atol=0.0)
+    assert res.converged and res.modes_used == 0 and res.tail_bound <= 1e-13
+    if waist == 0.06:
+        assert (mehler_parameters(geometry, beam, np.arange(1.0, 201.0))[0] < -0.5).any()
+
+
+def test_offaxis_family_integral_branches(geo):
+    # a waist with w_n^2 = w0^2 / 2 exactly gives beta = 0 for family n (the
+    # plain-u form); 1.0004 times it gives |beta| < 1e-3 (plain-u too), and
+    # 1.004 times it a small beta in the v-form
+    n = next(n for n in range(10, 201) if math.sqrt(2.0 * acoustic_waist_sq(geo, n)) ** 2
+             == 2.0 * acoustic_waist_sq(geo, n))
+    w_beta0 = math.sqrt(2.0 * acoustic_waist_sq(geo, n))
+    for waist, beta_range in ((w_beta0, (0.0, 0.0)), (1.0004 * w_beta0, (-1e-3, -1e-4)),
+                              (1.004 * w_beta0, (-1e-2, -1e-3))):
+        beam = BeamSpec(waist=waist, offset=0.05)
+        beta = mehler_parameters(geo, beam, np.array([float(n)]))[0][0]
+        assert beta_range[0] <= beta <= beta_range[1]
+        for policy in (TruncationPolicy(), TruncationPolicy(n_max=1)):
+            res = effective_susceptibility(geo, beam, 0.0, policy=policy)
+            assert len(res.per_n) == policy.n_max
+            assert_zero_frequency_offaxis(geo, beam, res, policy)
+        assert res.per_n[0] == pytest.approx(family_zero_frequency_sum(geo, beam, 1), rel=1e-12)
+        res = effective_susceptibility(geo, beam)
+        assert res.per_n[n - 1] == pytest.approx(family_zero_frequency_sum(geo, beam, n), rel=1e-12)
+
+
+def test_offaxis_zero_frequency_builds_no_table(geo, monkeypatch):
+    # a grid of omega = 0 alone sums no shell; one nonzero omega builds the table
+    import mirnoise.susceptibility as susceptibility
+
+    built = []
+    monkeypatch.setattr(susceptibility, "ShellTraceTable", lambda *args: built.append(args) or ShellTraceTable(*args))
+    beam = BeamSpec(waist=0.02, offset=0.03)
+    res = effective_susceptibility_grid(geo, beam, [0.0, 0.0])
+    assert not built and res[0] == res[1]
+    effective_susceptibility_grid(geo, beam, [0.0, 1e3])
+    assert len(built) == 1
