@@ -18,12 +18,12 @@ revisions, the machine, the settings, every pair's metrics, and per workload
 the median and quartiles of each metric on each side and the solve_s win
 count.  Standard library only; perfbench/ is run, never imported.
 
-After the workloads, ``--e2e N`` (default 3; 0 skips them) times the
-end-to-end cases in E2E_CASES on both trees: the import of the package, CLI
-commands and ``scripts/reproduce_figures.py``, each a fresh interpreter, so
-start-up is included.  Each case runs N times per side, alternating which side
-goes first, and the report gives the best of the N wall times with the exit
-codes seen.
+After the workloads it times the end-to-end cases in E2E_CASES on both
+trees: the import of the package, CLI commands and
+``scripts/reproduce_figures.py``, each a fresh interpreter, so start-up is
+included.  Each case runs E2E_REPEATS times per side, alternating which side
+goes first, and the report gives the best and the slowest of the wall times
+with the exit codes seen.
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: runs per side of each end-to-end case
+E2E_REPEATS = 3
 #: end-to-end cases: a name and the arguments to the interpreter, run in the
 #: tree with its src/ on the path; {out} is a fresh scratch directory
 E2E_CASES = (
@@ -94,20 +96,21 @@ def run_case(tree: Path, args: tuple) -> tuple[float, int]:
         return time.perf_counter() - t0, code
 
 
-def end_to_end(trees: dict, repeats: int, rev: str) -> dict:
-    """Best-of-repeats wall time and the exit codes of every case on each side."""
+def end_to_end(trees: dict, rev: str) -> dict:
+    """Wall times, their best, and the exit codes of every case on each side."""
     record = {}
-    print(f"\nend to end, best of {repeats} wall times (s), start-up included")
+    print(f"\nend to end, best [slowest] of {E2E_REPEATS} wall times (s), start-up included")
     for name, args in E2E_CASES:
         runs = {side: [] for side in trees}
-        for i in range(repeats):
+        for i in range(E2E_REPEATS):
             for side in list(trees) if i % 2 == 0 else list(trees)[::-1]:
                 runs[side].append(run_case(trees[side], args))
         record[name] = {side: {"best_s": min(t for t, _ in r), "runs_s": [t for t, _ in r],
                                "exit_codes": sorted({c for _, c in r})} for side, r in runs.items()}
         base, change = record[name]["base"], record[name]["change"]
-        print(f"  {name:40s} {rev} {base['best_s']:.3f} (exit {base['exit_codes']}), "
-              f"working tree {change['best_s']:.3f} (exit {change['exit_codes']})", flush=True)
+        print(f"  {name:40s} {rev} {base['best_s']:.3f} [{max(base['runs_s']):.3f}] (exit {base['exit_codes']}), "
+              f"working tree {change['best_s']:.3f} [{max(change['runs_s']):.3f}] "
+              f"(exit {change['exit_codes']})", flush=True)
     return record
 
 
@@ -158,23 +161,20 @@ def machine() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--rev", default="HEAD", help="revision to compare against (default HEAD)")
-    p.add_argument("--workload", default="", help="one workload or a comma-separated list (default none)")
+    p.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     p.add_argument("--seed", type=int, default=1, help="pair i runs seed + i on both sides")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--e2e", type=int, default=3, metavar="N",
-                   help="runs per side of each end-to-end case, best of N reported (0 skips them)")
     p.add_argument("--json", metavar="PATH", help="also write the whole run as a JSON record")
     args = p.parse_args(argv)
 
-    workloads = [w for w in args.workload.split(",") if w]
+    workloads = args.workload.split(",")
     record = {
         "base": {"rev": args.rev, "commit": git("rev-parse", args.rev)},
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "machine": machine(),
-        "settings": {"workloads": workloads, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-                     "e2e": args.e2e},
+        "settings": {"workloads": workloads, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
@@ -197,10 +197,9 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {"pairs": pairs, **summary}
             if args.json:  # rewritten after every workload, so a cut run keeps what it finished
                 Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        if args.e2e > 0:
-            record["end_to_end"] = end_to_end({"base": base, "change": ROOT}, args.e2e, args.rev)
-            if args.json:
-                Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        record["end_to_end"] = end_to_end({"base": base, "change": ROOT}, args.rev)
+        if args.json:
+            Path(args.json).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -138,20 +138,26 @@ def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> 
 
 def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
     """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|,
-    elementwise over the families n, or for the one family n of a float.
+    elementwise over the families n.
 
     Omega^2 grows linearly in s, so the minimum sits at shell_start or at a
     shell either side of the crossing with omega^2.
     """
     om2 = omega * omega
     s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
-    if isinstance(n, float):  # Python scalars cost a fifth of numpy's calls on one family
-        shells = (shell_start, max(math.floor(s_cross), shell_start), max(math.ceil(s_cross), shell_start))
-        w2 = [om_m2 * (n * n + curv * n * (s + 1.0)) for s in shells]
-        return min(abs(complex(w - om2, -w * phi)) for w in w2)
     s = np.maximum([shell_start, np.floor(s_cross), np.ceil(s_cross)], shell_start)
     w2 = om_m2 * (n * n + curv * n * (s + 1.0))
     return np.hypot(w2 - om2, -w2 * phi).min(axis=0)
+
+
+def _min_abs_denominator_one(om_m2, n, curv, shell_start, omega, phi):
+    """_min_abs_denominator for the one family n, in Python floats: on a single
+    family they cost a fifth of numpy's calls."""
+    om2 = omega * omega
+    s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
+    shells = (shell_start, max(math.floor(s_cross), shell_start), max(math.ceil(s_cross), shell_start))
+    w2 = [om_m2 * (n * n + curv * n * (s + 1.0)) for s in shells]
+    return min(abs(complex(w - om2, -w * phi)) for w in w2)
 
 
 def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
@@ -166,14 +172,15 @@ def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1)
 
 
-def _centered_tail(om_m2, curv, n, mass, q2, ovl2_next, p_next, omega, phi):
+def _centered_tail(om_m2, curv, n, mass, q2, ovl2_next, p_next, omega, phi, min_abs_den=_min_abs_denominator):
     """Bound on the terms p >= p_next of the families n: the overlaps decay as
-    q^(2p) and no denominator falls below the smallest one left.  A degenerate
-    beam (w0 -> 0, q2 = 1) has no geometric decay and an infinite tail."""
+    q^(2p) and no denominator falls below the smallest one left, which
+    min_abs_den finds at omega > 0.  A degenerate beam (w0 -> 0, q2 = 1) has
+    no geometric decay and an infinite tail."""
     if omega == 0.0:
         min_den = om_m2 * (n * n + curv * n * (2.0 * p_next + 1.0))
     else:
-        min_den = _min_abs_denominator(om_m2, n, curv, 2 * p_next, omega, phi)
+        min_den = min_abs_den(om_m2, n, curv, 2 * p_next, omega, phi)
     return ovl2_next / ((1.0 - q2) * mass * min_den)
 
 
@@ -241,7 +248,8 @@ def _chi_centered(geometry, beam, omega, phi, policy):
             s_n += block.item()
             head[k] *= q2_k.item() ** count
             p += count
-            tail_n = _centered_tail(om_m2, curv, n_k, mass_k, q2_k, head[k].item(), p, omega, phi)
+            tail_n = _centered_tail(om_m2, curv, n_k, mass_k, q2_k, head[k].item(), p, omega, phi,
+                                    _min_abs_denominator_one)
         sums[k], tails[k] = s_n, tail_n
         total, used, k = total + s_n, used + p, k + 1
         # walk on in vector steps once a family needs no further block; in a

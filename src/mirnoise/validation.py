@@ -316,7 +316,7 @@ def shell_overlap_sq_over_mass(
     return ShellTraceTable(geometry, beam, range(n, n + 1)).traces(n, max_shell).copy()
 
 
-def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: int, dps: int = 30) -> float:
+def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: int) -> float:
     """sum_s T_s / Omega_s^2 of family n (m/N), the shell traces' whole sum at
     omega = 0, as an mpmath quadrature of the t-form
 
@@ -324,11 +324,11 @@ def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: 
 
     with G(t) = c0 exp(-x (1 - t) / (1 + beta t)) / (1 - beta^2 t^2) the
     traces' generating function (Mehler's formula).  The family's parameters
-    are formed here in dps digits from the geometry and beam.  Raises
+    are formed here in 30 digits from the geometry and beam.  Raises
     QuadratureConvergenceError if the quadrature's own error estimate exceeds
-    10^(-dps/2) of the value.
+    1e-15 of the value.
     """
-    with mp.workdps(dps):
+    with mp.workdps(30):
         h, radius = mp.mpf(geometry.thickness), mp.mpf(geometry.curvature_radius)
         wn2 = 2 * h / (n * mp.pi) * mp.sqrt(radius * h)
         w02, d = mp.mpf(beam.waist) ** 2, mp.mpf(beam.offset)
@@ -347,7 +347,7 @@ def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: 
         scales = [4**k / (a1 + x) for k in range(-2, 12)] + [(1 - beta) * 4**k for k in range(4)]
         points = sorted({mp.mpf(0), mp.mpf(1), *(1 - s for s in scales if s < 1)})
         value, error = mp.quad(f, points, error=True)
-        if error > mp.mpf(10) ** (-dps // 2) * abs(value):
+        if error > mp.mpf("1e-15") * abs(value):
             raise QuadratureConvergenceError(
                 f"family {n}: quadrature error {mp.nstr(error, 3)} of {mp.nstr(value, 10)}",
                 last_value=float(value),

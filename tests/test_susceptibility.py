@@ -566,7 +566,7 @@ def _grid_outcome(chi, *args):
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_family_sums(geometry, beam, n_max, chunk=25):
+def _direct_family_sums(geometry, beam, n_max):
     """Direct zero-frequency shell sums sum_s T_s / Omega_s^2 of families
     1..n_max, from the shell-trace table out to at most SHELL_CAP shells, and
     which of them are complete: by the sum rule sum_s T_s = G(1) = c0 / (1 -
@@ -579,7 +579,8 @@ def _direct_family_sums(geometry, beam, n_max, chunk=25):
     beta, _, _, c0 = mehler_parameters(geometry, beam, n)
     g1 = c0 / (1.0 - beta * beta)
     sums, traced, complete = np.zeros(n_max), np.zeros(n_max), np.zeros(n_max, dtype=bool)
-    for lo in range(1, n_max + 1, chunk):  # a table of `chunk` families keeps the blocks small
+    chunk = 25  # families to a table, which keeps the blocks small
+    for lo in range(1, n_max + 1, chunk):
         f = slice(lo - 1, min(lo - 1 + chunk, n_max))
         table = ShellTraceTable(geometry, beam, range(lo, f.stop + 1))
         done, smax = -1, 64
@@ -712,10 +713,16 @@ def test_offaxis_families_with_zero_heads_are_summed(geo):
     assert res.converged and res.modes_used == 0
     for n in (150, 197, 198, 199, 200):
         assert res.per_n[n - 1] == pytest.approx(family_zero_frequency_sum(geo, beam, n), rel=1e-12)
-    # the convergence study's term pool keeps what the table holds, out to
-    # where each family ends (families 1-7 reach the cap); the pool holds 1.3e10 modes
+
+
+@pytest.mark.xfail(strict=True, reason="ShellTraceTable reads families 197-200 as 0 at w0 1 mm, d 18.5 cm "
+                                       "(their scaled T_0 underflows), so the study's term pool lacks them")
+def test_offaxis_convergence_study_saturates_at_chi0_far_off_axis(geo):
+    # the pool holds 1.3e10 modes, so a checkpoint of 10^12 takes every term it
+    # holds; families 1-7 reach SHELL_CAP, whose rest is below 1e-4 of chi0
+    beam = BeamSpec(waist=0.001, offset=0.185)
     saturated = convergence_study(geo, beam, 1e-6, [10**12])[0][1]
-    assert saturated == pytest.approx(res.value.real - sum(res.per_n[196:]), rel=1e-4)
+    assert saturated == pytest.approx(effective_susceptibility(geo, beam).value.real, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
