@@ -52,6 +52,8 @@ E2E_CASES = (
     ("spectrum --points 200", ("-m", "mirnoise.cli", "spectrum", "--points", "200")),
     ("spectrum --points 200 --offset 0.05",
      ("-m", "mirnoise.cli", "spectrum", "--points", "200", "--offset", "0.05")),
+    ("spectrum --waist 1e-3 --offset 0.01 --points 50",
+     ("-m", "mirnoise.cli", "spectrum", "--waist", "1e-3", "--offset", "0.01", "--points", "50")),
     ("sweep --param offset", ("-m", "mirnoise.cli", "sweep", "--param", "offset")),
     ("chi0", ("-m", "mirnoise.cli", "chi0")),
     ("chi0 --waist 1e-3 --offset 0.01", ("-m", "mirnoise.cli", "chi0", "--waist", "1e-3", "--offset", "0.01")),

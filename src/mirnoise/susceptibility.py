@@ -43,10 +43,11 @@ class TruncationPolicy:
     The model is the infinite sum over every mode; these settings only say
     where the computation stops.
 
-    epsilon    relative tail tolerance for the reported susceptibility (off
-               axis at omega = 0: for its quadrature error estimate)
+    epsilon    relative tail tolerance for the reported susceptibility (for
+               the integrated off-axis families: for their error estimate)
     max_modes  hard budget of explicitly summed terms; exceeding it raises
-               BudgetExceededError (an off-axis sum at omega = 0 sums none)
+               BudgetExceededError (off axis only the families summed by
+               shells near a resonance sum any)
     n_max      computational cap on the longitudinal index; the families
                above it are left out, and tail_bound does not cover them
     """
@@ -73,8 +74,10 @@ class SusceptibilityResult:
 
     tail_bound is relative to |value|.  For centered beams it is a rigorous
     geometric bound; off-center it is an estimate and tail_is_estimate is
-    set: an extrapolation of the summed shells at omega > 0, the quadrature's
-    error estimate at omega = 0 (where modes_used is 0).
+    set: for the families summed by shells near a resonance, an extrapolation
+    of the summed shells, and for the integrated ones the quadrature's error
+    estimate plus, at omega > 0, the Taylor series' bound.  modes_used counts
+    only the shells summed, so it is 0 at omega = 0.
     """
 
     value: complex
@@ -332,6 +335,13 @@ _GL_NODES = 64
 _GL_PIECES, _GL_CHECK_PIECES = 8, 4
 #: families integrated at once: the temporaries are _FAMILY_CHUNK x _GL_NODES
 _FAMILY_CHUNK = 256
+#: at omega > 0 a family is integrated, as a Taylor series in omega^2, where
+#: rho = |delta_omega| / a (about (omega / Omega_{n,0})^2) is at most this:
+#: half way to its base resonance or less; closer to it, it is summed by shells
+_TAYLOR_RHO = 0.25
+#: a series stops at the first term where the bound on what it drops falls
+#: to this fraction of the family's omega = 0 integral
+_TAYLOR_TARGET = 2.0**-53
 
 
 @functools.cache
@@ -344,15 +354,17 @@ def _gauss_legendre():
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def _family_integrals(beta, x, a1, pieces, plain):
-    """int_0^1 e^(-x u) t^a1 du / (1 - beta + 2 beta u), t = (1 - u)/(1 + beta u),
-    per family, by the Gauss-Legendre rule on `pieces` equal pieces.
+def _family_integrals(beta, x, a1, pieces, plain, moments):
+    """int_0^1 e^(-x u) t^a1 (-log t)^k / k! du / (1 - beta + 2 beta u),
+    t = (1 - u)/(1 + beta u), per family (column) for k < moments (row), by the
+    Gauss-Legendre rule on `pieces` equal pieces.
 
     The variable is v = log(1 - beta + 2 beta u), so du / (1 - beta + 2 beta u)
     = dv / (2 beta): that takes out the near-pole at u = 0 of narrow beams
     (beta -> 1).  Where e^v - (1 - beta) would cancel (plain, |beta| < 1e-3)
     the variable is u itself.  The integrand is one exp of its log, which
-    stays in range however large x and a1 are.
+    stays in range however large x and a1 are; row k takes each node's value
+    times (-log t)^k, and is divided by k! at the end.
     """
     nodes, weights = _gauss_legendre()
     if plain:
@@ -363,52 +375,85 @@ def _family_integrals(beta, x, a1, pieces, plain):
     # e^v = 1 - beta + 2 beta u: u = (e^v - (1 - beta)) jac, t = (1 + beta - e^v) / (beta (1 + beta + e^v))
     xj = x * jac
     beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
-    total = np.zeros(len(beta))
+    total = np.zeros((moments, len(beta)))
     for k in range(pieces):
         var = lo + col * (k + nodes)
         if plain:
-            log_f = a1 * np.log((1.0 - var) / (1.0 + beta * var)) - x * var
+            log_t = np.log((1.0 - var) / (1.0 + beta * var))
+            log_f = a1 * log_t - x * var
         else:
             e = np.exp(var)
-            log_f = a1 * np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e))) - xj * (e - (1.0 - beta))
+            log_t = np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e)))
+            log_f = a1 * log_t - xj * (e - (1.0 - beta))
         # the integrand is 1 at u = 0: below e^-700 it is nothing, and exp
         # would take its slow underflow path
         f = np.exp(np.maximum(log_f, -700.0))
         if plain:
             f /= 1.0 - beta + 2.0 * beta * var
-        total += f @ weights
+        total[0] += f @ weights
+        if moments > 1:
+            minus_log_t = -log_t
+            for j in range(1, moments):
+                f *= minus_log_t
+                total[j] += f @ weights
+    for j in range(2, moments):
+        total[j] /= float(math.factorial(j))
     return total * width * jac
 
 
-def _chi0_offaxis(geometry, beam, om_m2, curv, policy):
-    """Zero-frequency modal sum for a displaced beam, each family's shell sum
-    as one integral: (total, summed error estimate, per-family sums).
+def _offaxis_integrals(geometry, beam, om_m2, curv, n, moments):
+    """Each family's shell-sum integrals (_family_integrals, rows k < moments)
+    by the rules on _GL_PIECES and on _GL_CHECK_PIECES pieces, and the scale
+    c0 / (Omega_M^2 curv n) that makes row 0 the family's omega = 0 sum.
 
     With Omega_s^2 = Omega_M^2 curv n (s + a), a = 1 + n/curv, and
-    1/(s + a) = int_0^1 t^(s+a-1) dt, the family's sum_s T_s / Omega_s^2 is
-    int_0^1 t^(a-1) G(t) dt / (Omega_M^2 curv n), with G the generating
-    function of its shell traces (see mehler_parameters).  u = (1-t)/(1+beta t)
-    turns it into
+    1/(s + a)^(k+1) = int_0^1 t^(s+a-1) (-log t)^k / k! dt, the moment
+    M_k = sum_s T_s / (s + a)^(k+1) is int_0^1 t^(a-1) G(t) (-log t)^k / k! dt,
+    with G the generating function of the family's shell traces (see
+    mehler_parameters); u = (1-t)/(1+beta t) turns it into c0 times
 
-        (c0 / (Omega_M^2 curv n)) int_0^1 e^(-x u) ((1-u)/(1+beta u))^(a-1) du / (1 - beta + 2 beta u).
-
-    No shell is summed and nothing is cut, so modes_used is 0; the error
-    estimate is |I_8 - I_4|, the difference of the rules on 8 and 4 pieces.
+        int_0^1 e^(-x u) ((1-u)/(1+beta u))^(a-1) (-log t)^k / k! du / (1 - beta + 2 beta u).
     """
-    n = np.arange(1.0, policy.n_max + 1.0)
     beta, _, x, c0 = mehler_parameters(geometry, beam, n)
     a1 = n / curv
-    value, check = np.empty(len(n)), np.empty(len(n))
+    value, check = np.empty((moments, len(n))), np.empty((moments, len(n)))
     plain = np.abs(beta) < 1e-3
     for form in (True, False):
         families = np.flatnonzero(plain == form)
         for lo in range(0, len(families), _FAMILY_CHUNK):
             f = families[lo : lo + _FAMILY_CHUNK]
-            value[f] = _family_integrals(beta[f], x[f], a1[f], _GL_PIECES, form)
-            check[f] = _family_integrals(beta[f], x[f], a1[f], _GL_CHECK_PIECES, form)
-    scale = c0 / (om_m2 * curv * n)
-    sums, errors = scale * value, scale * np.abs(value - check)
-    return np.add.reduce(sums).item(), np.add.reduce(errors).item(), sums.tolist()
+            value[:, f] = _family_integrals(beta[f], x[f], a1[f], _GL_PIECES, form, moments)
+            check[:, f] = _family_integrals(beta[f], x[f], a1[f], _GL_CHECK_PIECES, form, moments)
+    return value, check, c0 / (om_m2 * curv * n)
+
+
+def _taylor_sums(value, check, scale, shift, phi, rho, terms):
+    """Real and imaginary family sums, and their error estimates, of the
+    (omega, family) pairs (rows, columns) from the moments of
+    _offaxis_integrals:
+
+        sum_s T_s / (Omega_s^2 (1 - i phi) - omega^2)
+            = (scale / (1 - i phi)) sum_{k < terms} delta^k M_k / c0,
+
+    delta = shift / (1 - i phi), Horner's rule in real arithmetic.  M_{k+1}
+    <= M_k / a (T_s >= 0), so the terms dropped add up to at most
+    M_0 rho^terms / (1 - rho); the estimate adds sum_k |delta|^k |M_k - M'_k|,
+    M'_k from the coarser rule.  A pair's coefficients past its own terms are
+    0, so its sums depend on its own omega only, not on the rest of the grid.
+    """
+    cos2 = 1.0 / (1.0 + phi * phi)[:, None]
+    re_d, im_d = shift * cos2, shift * cos2 * phi[:, None]
+    mod_d = shift * np.sqrt(cos2)
+    diff = np.abs(value - check)
+    re, im, err = np.zeros_like(shift), np.zeros_like(shift), np.zeros_like(shift)
+    for k in range(len(value) - 1, -1, -1):
+        used = terms > k
+        re, im = re * re_d - im * im_d + np.where(used, value[k], 0.0), re * im_d + im * re_d
+        err = err * mod_d + np.where(used, diff[k], 0.0)
+    err += value[0] * rho**terms / (1.0 - rho)
+    # scale / (1 - i phi) = scale cos2 (1 + i phi)
+    re_s, im_s = scale * cos2, scale * cos2 * phi[:, None]
+    return re_s * re - im_s * im, re_s * im + im_s * re, scale * np.sqrt(cos2) * err
 
 
 def _chi_offaxis(geometry, beam, omegas, phis, policy):
@@ -418,53 +463,86 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     is basis independent, so it is evaluated in the separable Hermite-Gauss
     basis (Mehler's formula, see ShellTraceTable) instead of mode by mode; each shell
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
-    (sine modes vanish identically).  omega = 0 takes each family's whole
-    shell sum as one integral (_chi0_offaxis).  Every other omega sums shell
-    by shell, and modes_used counts these shell summands; the per-family tail
-    is an extrapolated estimate, not a bound.  Families run outermost, so
-    each family's shell traces serve every omega; within a family the omegas
-    are the rows of one (omega x shell) array per level.
+    (sine modes vanish identically).
+
+    A family's whole shell sum is an integral of its traces' generating
+    function (_offaxis_integrals): at omega = 0 its moment M_0, and at each
+    (omega, family) pair with rho = |delta| / a <= _TAYLOR_RHO a Taylor
+    series in delta = omega^2 / (Omega_M^2 curv n (1 - i phi)) over the same
+    frequency-free moments (_taylor_sums).  Nothing is summed or cut there;
+    the error estimate is that of the quadrature and the series' bound.  The
+    pairs nearer a resonance (the low families at high omega) sum shell by
+    shell from a ShellTraceTable of those families alone, and modes_used
+    counts these shell summands; their per-family tail is an extrapolated
+    estimate, not a bound, and their tolerance refers to the whole row, the
+    integrated families included.  Families run outermost, so each family's
+    shell traces serve every omega; within a family the omegas are the rows
+    of one (omega x shell) array per level.
     """
     om_m = fundamental_frequency(geometry)
     om_m2 = om_m * om_m
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    n = np.arange(1.0, policy.n_max + 1.0)
     results = [None] * len(omegas)
     rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
+    w2 = np.array([omegas[k] * omegas[k] for k in rows])
+    phi = np.array([phis[k] for k in rows], dtype=float)
+    # |delta| (1 + phi^2)^(1/2) and rho per (omega, family)
+    shift = w2[:, None] / (om_m2 * curv * n)
+    rho = shift / (np.hypot(1.0, phi)[:, None] * (1.0 + n / curv))
+    taylor = rho <= _TAYLOR_RHO
+    # a pair's series has the fewest terms K >= 1 with rho^K / (1 - rho) <= _TAYLOR_TARGET
+    rho = np.clip(rho, np.finfo(float).tiny, _TAYLOR_RHO)
+    terms = np.where(taylor, np.ceil(np.log(_TAYLOR_TARGET * (1.0 - rho)) / np.log(rho)), 0.0)
+    if len(rows) < len(omegas) or taylor.any():
+        value, check, scale = _offaxis_integrals(geometry, beam, om_m2, curv, n, int(max(terms.max(initial=0.0), 1.0)))
     if len(rows) < len(omegas):
-        total, tail, per_n = _chi0_offaxis(geometry, beam, om_m2, curv, policy)
+        # omega = 0: each family's moment M_0, and |I_8 - I_4| as its error estimate
+        sums, errors = scale * value[0], scale * np.abs(value[0] - check[0])
+        total, tail = np.add.reduce(sums).item(), np.add.reduce(errors).item()
         for k, omega in enumerate(omegas):
             if omega == 0.0:
-                results[k] = _result(total, omega, 0, tail, True, per_n, policy)
+                results[k] = _result(total, omega, 0, tail, True, sums.tolist(), policy)
     if not rows:
         return results
 
-    table = ShellTraceTable(geometry, beam, range(1, policy.n_max + 1))
-    shells = np.arange(1.0, SHELL_CAP + 2.0)  # s + 1
-    w2 = np.array([omegas[k] * omegas[k] for k in rows])
-    phi = np.array([phis[k] for k in rows], dtype=float)
-    totals = [0.0 + 0.0j] * len(rows)
-    tails = [0.0] * len(rows)
+    per_n = np.zeros((len(rows), len(n)), dtype=complex)
+    errors = np.zeros((len(rows), len(n)))
+    if taylor.any():
+        per_n.real, per_n.imag, errors = _taylor_sums(value, check, scale, shift, phi, rho, terms)
+    totals, tails = [], []
+    for r in range(len(rows)):
+        sel = taylor[r]
+        totals.append(complex(np.add.reduce(per_n.real[r][sel]).item(), np.add.reduce(per_n.imag[r][sel]).item()))
+        tails.append(np.add.reduce(errors[r][sel]).item())
+    per_n = per_n.tolist()
     modes = [0] * len(rows)
-    per_n = [[] for _ in rows]
-    for n in range(1, policy.n_max + 1):
-        def om2(smax):  # Omega^2 of shells 0..smax
-            return om_m2 * (n * n + curv * n * shells[: smax + 1])
 
-        found = _offaxis_family(table, n, om2, w2, phi, totals, policy)
-        for r, (s_n, _, count) in enumerate(found):
+    shelled = np.flatnonzero(~taylor.all(axis=0)).tolist()
+    table = ShellTraceTable(geometry, beam, range(1, shelled[-1] + 2)) if shelled else None
+    shells = np.arange(1.0, SHELL_CAP + 2.0)  # s + 1
+    for col in shelled:
+        n_k = col + 1
+        sub = np.flatnonzero(~taylor[:, col]).tolist()
+
+        def om2(smax):  # Omega^2 of shells 0..smax
+            return om_m2 * (n_k * n_k + curv * n_k * shells[: smax + 1])
+
+        found = _offaxis_family(table, n_k, om2, w2[sub], phi[sub], [totals[r] for r in sub], policy)
+        for r, (s_n, _, count) in zip(sub, found):
             # one summand per degenerate shell; each shell trace folds in
             # its s//2 + 1 coupled cosine modes analytically
             modes[r] += count
             if modes[r] > policy.max_modes:
                 raise BudgetExceededError(
-                    f"mode budget {policy.max_modes} exhausted at n={n}",
-                    partial=_result(totals[r] + s_n, omegas[rows[r]], modes[r], math.inf, True, per_n[r],
+                    f"mode budget {policy.max_modes} exhausted at n={n_k}",
+                    partial=_result(totals[r] + s_n, omegas[rows[r]], modes[r], math.inf, True, per_n[r][:col],
                                     policy),
                 )
-        for r, (s_n, tail_n, _) in enumerate(found):
+        for r, (s_n, tail_n, _) in zip(sub, found):
             totals[r] += s_n
             tails[r] += tail_n
-            per_n[r].append(s_n)
+            per_n[r][col] = s_n
     for r, k in enumerate(rows):
         results[k] = _result(totals[r], omegas[k], modes[r], tails[r], True, per_n[r], policy)
     return results

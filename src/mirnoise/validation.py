@@ -316,14 +316,18 @@ def shell_overlap_sq_over_mass(
     return ShellTraceTable(geometry, beam, range(n, n + 1)).traces(n, max_shell).copy()
 
 
-def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: int) -> float:
-    """sum_s T_s / Omega_s^2 of family n (m/N), the shell traces' whole sum at
-    omega = 0, as an mpmath quadrature of the t-form
+def family_shell_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: int, omega: float = 0.0,
+                     loss_angle: float = 0.0) -> complex | float:
+    """sum_s T_s / (Omega_s^2 (1 - i phi) - omega^2) of family n (m/N), the
+    shell traces' whole sum, as an mpmath quadrature of the t-form
 
-        int_0^1 t^(a-1) G(t) dt / (Omega_M^2 curv n),   a = 1 + n / curv,
+        int_0^1 t^(a_w - 1) G(t) dt / (Omega_M^2 curv n (1 - i phi)),
+        a_w = a - omega^2 / (Omega_M^2 curv n (1 - i phi)),   a = 1 + n / curv,
 
     with G(t) = c0 exp(-x (1 - t) / (1 + beta t)) / (1 - beta^2 t^2) the
-    traces' generating function (Mehler's formula).  The family's parameters
+    traces' generating function (Mehler's formula).  It holds while Re a_w > 0,
+    below the family's base resonance.  At omega = 0 the loss angle drops out
+    and the sum is a float; otherwise it is complex.  The family's parameters
     are formed here in 30 digits from the geometry and beam.  Raises
     QuadratureConvergenceError if the quadrature's own error estimate exceeds
     1e-15 of the value.
@@ -337,22 +341,26 @@ def family_zero_frequency_sum(geometry: PlanoConvexGeometry, beam: BeamSpec, n: 
         c0 = 16 * wn2 / (mp.pi * mp.mpf(geometry.material.density) * h * (w02 + 2 * wn2) ** 2)
         curv = 2 / mp.pi * mp.sqrt(h / radius)
         om_m2 = (mp.pi * mp.mpf(geometry.material.sound_velocity) / h) ** 2
-        a1 = n / curv
+        loss = 1 - 1j * mp.mpf(loss_angle) if omega else mp.mpf(1)
+        a1 = n / curv - mp.mpf(omega) ** 2 / (om_m2 * curv * n * loss)
+        if mp.re(a1) <= -1:
+            raise ValueError(f"family {n} at omega={omega} is not below its base resonance")
 
         def f(t):
             return mp.exp(a1 * mp.log(t) - x * (1 - t) / (1 + beta * t)) / (1 - beta * beta * t * t)
 
         # the integrand lives within about 1/(a - 1 + x) of t = 1, and a narrow
         # beam's pole at t = 1/beta lies 1 - beta beyond it
-        scales = [4**k / (a1 + x) for k in range(-2, 12)] + [(1 - beta) * 4**k for k in range(4)]
+        scales = [4**k / (mp.re(a1) + x) for k in range(-2, 12)] + [(1 - beta) * 4**k for k in range(4)]
         points = sorted({mp.mpf(0), mp.mpf(1), *(1 - s for s in scales if s < 1)})
         value, error = mp.quad(f, points, error=True)
         if error > mp.mpf("1e-15") * abs(value):
             raise QuadratureConvergenceError(
                 f"family {n}: quadrature error {mp.nstr(error, 3)} of {mp.nstr(value, 10)}",
-                last_value=float(value),
+                last_value=complex(value),
             )
-        return float(c0 * value / (om_m2 * curv * n))
+        total = c0 * value / (om_m2 * curv * n * loss)
+        return complex(total) if omega else float(total)
 
 
 # ---------------------------------------------------------------------------

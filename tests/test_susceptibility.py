@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -31,7 +32,7 @@ from mirnoise.susceptibility import (
     thermal_force_spectrum,
 )
 from mirnoise.sweeps import convergence_study
-from mirnoise.validation import family_zero_frequency_sum, shell_overlap_sq_over_mass
+from mirnoise.validation import family_shell_sum, shell_overlap_sq_over_mass
 
 
 @pytest.fixture(scope="module")
@@ -468,9 +469,12 @@ def test_centered_sum_matches_oracle_property(thickness, waist, epsilon, omega):
 # ---------------------------------------------------------------------------
 # Oracle for the off-axis modal sum at omega > 0: the per-(family, omega) loop
 # that the (omega x shell) array sum replaced, kept verbatim.  The library
-# must reproduce its results, budget errors and partial results exactly.
-# At omega = 0 the library integrates each family's shell sum instead
-# (_chi0_offaxis); those rows are checked against direct shell sums.
+# integrates each family's whole shell sum instead wherever it lies at most
+# half way to its base resonance (rho <= 1/4), at omega = 0 for every family;
+# those families are checked against direct shell sums.  The families it
+# still sums by shells, and the totals, are checked against the oracle within
+# the oracle's own tail_bound: the two cut the same shell sums at different
+# places, and the integrated families hold the oracle's tail.
 # ---------------------------------------------------------------------------
 
 
@@ -566,19 +570,23 @@ def _grid_outcome(chi, *args):
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_family_sums(geometry, beam, n_max):
-    """Direct zero-frequency shell sums sum_s T_s / Omega_s^2 of families
-    1..n_max, from the shell-trace table out to at most SHELL_CAP shells, and
-    which of them are complete: by the sum rule sum_s T_s = G(1) = c0 / (1 -
-    beta^2), |G(1) - sum of the traces| / (the smallest Omega^2 left) is at
-    most 1e-12 of the family's sum.  A family whose traces lose digits far
-    off axis misses the sum rule and counts as incomplete too."""
+def _direct_family_sums(geometry, beam, n_max, omega=0.0, loss_angle=0.0):
+    """Direct shell sums sum_s T_s / (Omega_s^2 (1 - i phi) - omega^2) of
+    families 1..n_max (real at omega = 0, where the loss angle drops out), from
+    the shell-trace table out to at most SHELL_CAP shells, and which of them
+    are complete: by the sum rule sum_s T_s = G(1) = c0 / (1 - beta^2),
+    |G(1) - sum of the traces| / (the smallest |denominator| left) is at most
+    1e-12 of the family's |sum|.  A family whose traces lose digits far off
+    axis misses the sum rule and counts as incomplete too, and so does one
+    whose shells left still cross omega."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     n = np.arange(1.0, n_max + 1.0)
     beta, _, _, c0 = mehler_parameters(geometry, beam, n)
     g1 = c0 / (1.0 - beta * beta)
-    sums, traced, complete = np.zeros(n_max), np.zeros(n_max), np.zeros(n_max, dtype=bool)
+    sums = np.zeros(n_max, dtype=complex if omega else float)
+    traced, complete = np.zeros(n_max), np.zeros(n_max, dtype=bool)
+    w2, loss = omega * omega, 1.0 - 1j * loss_angle
     chunk = 25  # families to a table, which keeps the blocks small
     for lo in range(1, n_max + 1, chunk):
         f = slice(lo - 1, min(lo - 1 + chunk, n_max))
@@ -587,10 +595,14 @@ def _direct_family_sums(geometry, beam, n_max):
         while True:
             new = table.block(lo, smax)[done + 1 :]  # shells done + 1..smax
             shells = np.arange(done + 2.0, smax + 2.0)[:, None]  # s + 1
-            sums[f] += (new / (om_m2 * (n[f] * n[f] + curv * n[f] * shells))).sum(axis=0)
+            om2 = om_m2 * (n[f] * n[f] + curv * n[f] * shells)
+            sums[f] += (new / (om2 * loss - w2 if omega else om2)).sum(axis=0)
             traced[f] += new.sum(axis=0)
-            left = (g1[f] - traced[f]) / (om_m2 * (n[f] * n[f] + curv * n[f] * (smax + 2.0)))
-            complete[f] = np.abs(left) <= 1e-12 * sums[f]
+            # past omega the denominators grow with s: the next one is the smallest left
+            om2 = om_m2 * (n[f] * n[f] + curv * n[f] * (smax + 2.0))
+            min_den = np.where(om2 >= w2, np.abs(om2 * loss - w2), 0.0) if omega else om2
+            with np.errstate(divide="ignore", invalid="ignore"):  # nothing left of nothing: 0/0
+                complete[f] = np.abs((g1[f] - traced[f]) / min_den) <= 1e-12 * np.abs(sums[f])
             if complete[f].all() or smax >= SHELL_CAP:
                 break
             done, smax = smax, min(2 * smax, SHELL_CAP)
@@ -603,7 +615,7 @@ def assert_zero_frequency_offaxis(geometry, beam, res, policy):
     against the mpmath quadrature of its t-form instead."""
     direct, complete = _direct_family_sums(geometry, beam, policy.n_max)
     for n in np.flatnonzero(~complete) + 1:
-        direct[n - 1] = family_zero_frequency_sum(geometry, beam, int(n))
+        direct[n - 1] = family_shell_sum(geometry, beam, int(n))
     assert res.frequency == 0.0 and res.value.imag == 0.0
     assert res.modes_used == 0 and res.tail_is_estimate and res.converged
     assert all(type(s) is float for s in res.per_n)
@@ -611,18 +623,63 @@ def assert_zero_frequency_offaxis(geometry, beam, res, policy):
     assert res.value.real == pytest.approx(direct.sum(), rel=1e-10)
 
 
+def _integrated(geometry, omega, loss_angle, n_max):
+    """Which families the library integrates at omega > 0: those with rho =
+    omega^2 / (|1 - i phi| Omega_{n,0}^2) <= 1/4."""
+    base = np.array([eigenfrequency_sq(geometry, n, 0) for n in range(1, n_max + 1)])
+    return omega * omega / (math.hypot(1.0, loss_angle) * base) <= 0.25
+
+
 def assert_offaxis_matches_oracle(geometry, beam, omegas, policy, loss_angle=1e-6):
-    """The omega > 0 rows (or the budget error) == the oracle's on those rows;
-    every omega = 0 row checked against direct shell sums."""
+    """An off-axis grid against its references.  At omega > 0 each integrated
+    family lies within 1e-10 of its direct shell sum (or, where that is
+    incomplete, of the mpmath quadrature), and so does a row's total when
+    every family is integrated.  Each family summed by shells lies within the
+    oracle's tail_bound of _oracle_chi_offaxis; the total of a row that has
+    any, within the two results' tail_bounds of each other (the two sums cut
+    the same shells at different places, and the oracle's extrapolated
+    estimate runs a few percent short of its whole truncation error), and,
+    if converged, within epsilon of the direct shell sums.
+    Every omega = 0 row is checked against direct shell sums.  The budget
+    changes nothing but whether the grid raises: it does exactly when some
+    row needs more shells than max_modes, with the rows' own families below
+    the failing one as its partial per_n."""
     rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
-    expected = _grid_outcome(_oracle_chi_offaxis, geometry, beam, [omegas[k] for k in rows], [loss_angle] * len(rows),
-                             policy)
+    unbudgeted = dataclasses.replace(policy, max_modes=10**9)
+    results = effective_susceptibility_grid(geometry, beam, omegas, loss_angle, unbudgeted)
     got = _grid_outcome(effective_susceptibility_grid, geometry, beam, omegas, loss_angle, policy)
-    if got[0] == "budget":
-        assert got == expected
+    if max(r.modes_used for r in results) > policy.max_modes:
+        assert got[0] == "budget"
+        _, message, partial, types = got
+        n = int(message.rsplit("=", 1)[1])
+        assert message == f"mode budget {policy.max_modes} exhausted at n={n}"
+        assert types == [complex, int, float, bool]
+        assert partial.modes_used > policy.max_modes and partial.tail_bound == math.inf and not partial.converged
+        row = results[omegas.index(partial.frequency)]
+        assert not _integrated(geometry, partial.frequency, loss_angle, n)[-1]
+        assert partial.per_n == row.per_n[: n - 1] and partial.tail_is_estimate
         return
-    _, results, types = got
-    assert ("ok", [results[k] for k in rows], [types[k] for k in rows]) == expected
+    assert got[0] == "ok" and got[1] == results
+    expected = _oracle_chi_offaxis(geometry, beam, [omegas[k] for k in rows], [loss_angle] * len(rows), unbudgeted)
+    for k, want in zip(rows, expected):
+        res = results[k]
+        assert got[2][k] == (complex, int, float, bool, [complex] * policy.n_max)
+        assert res.frequency == want.frequency and res.tail_is_estimate
+        integrated = _integrated(geometry, res.frequency, loss_angle, policy.n_max)
+        assert (res.modes_used == 0) == integrated.all()
+        direct, complete = _direct_family_sums(geometry, beam, policy.n_max, res.frequency, loss_angle)
+        for n in np.flatnonzero(integrated & ~complete) + 1:
+            direct[n - 1] = family_shell_sum(geometry, beam, int(n), res.frequency, loss_angle)
+        per_n = np.array(res.per_n)
+        np.testing.assert_allclose(per_n[integrated], direct[integrated], rtol=1e-10, atol=0.0)
+        if integrated.all():
+            assert res.value == pytest.approx(direct.sum(), rel=1e-10)
+            continue
+        tol = want.tail_bound * abs(want.value)
+        assert np.all(np.abs(per_n[~integrated] - np.array(want.per_n)[~integrated]) <= tol)
+        assert abs(res.value - want.value) <= tol + res.tail_bound * abs(res.value)
+        if res.converged and complete.all():
+            assert abs(res.value - direct.sum()) <= policy.epsilon * abs(direct.sum())
     zero = [results[k] for k in range(len(omegas)) if k not in rows]
     if zero:
         assert_zero_frequency_offaxis(geometry, beam, zero[0], policy)
@@ -666,9 +723,9 @@ def test_offaxis_narrow_beam_matches_oracle(geo):
         assert_offaxis_matches_oracle(geo, BeamSpec(waist=0.001, offset=0.05), list(omegas), policy)
 
 
-@pytest.mark.parametrize("max_modes", [1, 64, 65, 3_000, 6_005])  # the grid needs 5,883-7,695
+@pytest.mark.parametrize("max_modes", [1, 64, 65, 3_000, 6_005])  # the grids' shelled families need 3,564-10,263
 def test_offaxis_budget_overrun_matches_oracle(geo, max_modes):
-    beam = BeamSpec(waist=0.02, offset=0.03)
+    beam = BeamSpec(waist=0.005, offset=0.03)
     policy = TruncationPolicy(max_modes=max_modes)
     for omegas in ([2.7e5], *OFFAXIS_GRIDS):
         assert_offaxis_matches_oracle(geo, beam, list(omegas), policy)
@@ -712,7 +769,7 @@ def test_offaxis_families_with_zero_heads_are_summed(geo):
     res = effective_susceptibility(geo, beam)
     assert res.converged and res.modes_used == 0
     for n in (150, 197, 198, 199, 200):
-        assert res.per_n[n - 1] == pytest.approx(family_zero_frequency_sum(geo, beam, n), rel=1e-12)
+        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="ShellTraceTable reads families 197-200 as 0 at w0 1 mm, d 18.5 cm "
@@ -773,13 +830,63 @@ def test_offaxis_family_integral_branches(geo):
             res = effective_susceptibility(geo, beam, 0.0, policy=policy)
             assert len(res.per_n) == policy.n_max
             assert_zero_frequency_offaxis(geo, beam, res, policy)
-        assert res.per_n[0] == pytest.approx(family_zero_frequency_sum(geo, beam, 1), rel=1e-12)
+        assert res.per_n[0] == pytest.approx(family_shell_sum(geo, beam, 1), rel=1e-12)
         res = effective_susceptibility(geo, beam)
-        assert res.per_n[n - 1] == pytest.approx(family_zero_frequency_sum(geo, beam, n), rel=1e-12)
+        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
+        # at 1e6 rad/s family n >= 10 is integrated as a Taylor series over the same branch
+        assert_family_matches_mpmath(geo, beam, 1e6, 1e-6, n)
+
+
+def assert_family_matches_mpmath(geometry, beam, omega, loss_angle, n):
+    """Family n, integrated at omega, within 1e-12 of the mpmath quadrature of
+    its t-form, in its real and its imaginary part."""
+    assert _integrated(geometry, omega, loss_angle, n)[-1]
+    got = effective_susceptibility(geometry, beam, omega, loss_angle).per_n[n - 1]
+    want = family_shell_sum(geometry, beam, n, omega, loss_angle)
+    assert got.real == pytest.approx(want.real, rel=1e-12)
+    assert got.imag == pytest.approx(want.imag, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "waist, offset, loss_angle, families",
+    [
+        (0.02, 0.03, 1e-6, (8, 100, 200)),
+        (0.001, 0.185, 1e-6, (8, 150, 200)),  # x up to 1,466: C underflows from family 141 on
+        (0.055, 0.035, 1e-6, (8, 20, 200)),  # beta < 0 from family 4 on
+        (0.02, 0.03, 0.5, (9, 100, 200)),
+    ],
+)
+def test_offaxis_taylor_families_match_mpmath(geo, waist, offset, loss_angle, families):
+    # at 1e6 rad/s families 1-7 cross their base resonance and are summed by
+    # shells; the rest are integrated, 8 with the longest series (rho ~ 0.21)
+    beam = BeamSpec(waist=waist, offset=offset)
+    for n in families:
+        assert_family_matches_mpmath(geo, beam, 1e6, loss_angle, n)
+    if waist == 0.055:
+        assert mehler_parameters(geo, beam, np.array([8.0, 20.0]))[0].max() < 0.0
+
+
+@given(
+    waist=st.floats(min_value=0.005, max_value=0.055),
+    offset=st.floats(min_value=1e-3, max_value=0.2),
+    loss_angle=st.floats(min_value=1e-7, max_value=0.5),
+    omegas=st.lists(st.floats(min_value=1.0, max_value=2e6), min_size=1, max_size=5),
+)
+@settings(max_examples=15, deadline=None)
+def test_offaxis_grid_rows_equal_single_frequency_calls(geo, waist, offset, loss_angle, omegas):
+    # each (omega, family) pair takes its series length and its way of summing
+    # from its own rho, so no row depends on the rest of the grid
+    offset = min(offset, 0.95 * geo.diameter / 2.0 - waist)
+    beam = BeamSpec(waist=waist, offset=offset)
+    grid = omegas[: len(omegas) // 2] + [0.0] + omegas[len(omegas) // 2 :] + omegas[:1]
+    rows = effective_susceptibility_grid(geo, beam, grid, loss_angle)
+    assert rows == [effective_susceptibility(geo, beam, omega, loss_angle) for omega in grid]
 
 
 def test_offaxis_zero_frequency_builds_no_table(geo, monkeypatch):
-    # a grid of omega = 0 alone sums no shell; one nonzero omega builds the table
+    # a grid of omega = 0 alone sums no shell, nor does one whose every family
+    # lies well below its resonance; one near family 1's builds a table of
+    # family 1 alone
     import mirnoise.susceptibility as susceptibility
 
     built = []
@@ -787,5 +894,7 @@ def test_offaxis_zero_frequency_builds_no_table(geo, monkeypatch):
     beam = BeamSpec(waist=0.02, offset=0.03)
     res = effective_susceptibility_grid(geo, beam, [0.0, 0.0])
     assert not built and res[0] == res[1]
-    effective_susceptibility_grid(geo, beam, [0.0, 1e3])
-    assert len(built) == 1
+    res = effective_susceptibility_grid(geo, beam, [0.0, 1e3])
+    assert not built and res[1].modes_used == 0
+    res = effective_susceptibility_grid(geo, beam, [0.0, 2.7e5])
+    assert [args[2] for args in built] == [range(1, 2)] and res[1].modes_used > 0

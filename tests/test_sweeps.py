@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, fundamental_frequency, mode_data
@@ -63,10 +64,15 @@ def test_waist_sweep_strictly_decreasing():
     assert all(b < a for a, b in zip(chi, chi[1:]))
 
 
-def test_offset_sweep_nonincreasing():
-    spec = SweepSpec(parameter="offset", lo=0.0, hi=0.12, points=7)
-    rows = run_sweep(spec)
-    chi = [r.chi0 for r in rows]
+@given(thickness=st.floats(min_value=0.04, max_value=0.12), waist=st.floats(min_value=0.005, max_value=0.055))
+@example(thickness=0.07, waist=0.02)
+@settings(max_examples=10, deadline=None)
+def test_offset_sweep_nonincreasing(thickness, waist):
+    # chi0 falls as the beam moves off axis, from the centre to the rim
+    radius = solve_geometry(20.0, thickness, FUSED_SILICA).diameter / 2.0
+    spec = SweepSpec(parameter="offset", lo=0.0, hi=0.95 * (radius - waist), points=7, thickness=thickness,
+                     waist=waist)
+    chi = [r.chi0 for r in run_sweep(spec)]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(chi, chi[1:]))
 
 
