@@ -472,9 +472,10 @@ def test_centered_sum_matches_oracle_property(thickness, waist, epsilon, omega):
 # integrates each family's whole shell sum instead wherever it lies at most
 # half way to its base resonance (rho <= 1/4), at omega = 0 for every family;
 # those families are checked against direct shell sums.  The families it
-# still sums by shells, and the totals, are checked against the oracle within
-# the oracle's own tail_bound: the two cut the same shell sums at different
-# places, and the integrated families hold the oracle's tail.
+# still sums by shells are checked against the oracle within the oracle's own
+# tail_bound, and the totals within both results' tail_bounds: the two cut
+# the same shell sums at different places, and the integrated families hold
+# the oracle's tail.
 # ---------------------------------------------------------------------------
 
 
