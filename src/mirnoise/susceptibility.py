@@ -469,8 +469,8 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     function (_offaxis_integrals): at omega = 0 its moment M_0, and at each
     (omega, family) pair with rho = |delta| / a <= _TAYLOR_RHO a Taylor
     series in delta = omega^2 / (Omega_M^2 curv n (1 - i phi)) over the same
-    frequency-free moments (_taylor_sums).  Nothing is summed or cut there;
-    the error estimate is that of the quadrature and the series' bound.  The
+    frequency-free moments (_taylor_sums).  No shell is summed there; the
+    error estimate is the quadrature's plus the bound on the series' cut.  The
     pairs nearer a resonance (the low families at high omega) sum shell by
     shell from a ShellTraceTable of those families alone, and modes_used
     counts these shell summands; their per-family tail is an extrapolated
