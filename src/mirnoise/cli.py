@@ -202,6 +202,8 @@ def _cmd_spectrum(args) -> int:
     _warn_paraxial(geometry)
     if not 0 < args.omega_min < args.omega_max < np.inf:
         raise ValueError("need 0 < omega-min < omega-max < inf")
+    if args.points < 1:
+        raise ValueError(f"a spectrum needs at least 1 point, got {args.points}")
     omegas = [float(omega) for omega in np.geomspace(args.omega_min, args.omega_max, args.points)]
     chi_zero, *chis = effective_susceptibility_grid(
         geometry, beam, [0.0, *omegas], settings["loss_angle"], policy

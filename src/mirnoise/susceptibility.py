@@ -44,7 +44,8 @@ class TruncationPolicy:
     where the computation stops.
 
     epsilon    relative tail tolerance for the reported susceptibility (for
-               the integrated off-axis families: for their error estimate)
+               the integrated off-axis families: for their error estimate;
+               off axis near a resonance: for the shells' sum-rule bound)
     max_modes  hard budget of explicitly summed terms; exceeding it raises
                BudgetExceededError (off axis only the families summed by
                shells near a resonance sum any)
@@ -73,11 +74,12 @@ class SusceptibilityResult:
     """Modal sum outcome (m/N) with its truncation diagnostics.
 
     tail_bound is relative to |value|.  For centered beams it is a rigorous
-    geometric bound; off-center it is an estimate and tail_is_estimate is
-    set: for the families summed by shells near a resonance, an extrapolation
-    of the summed shells, and for the integrated ones the quadrature's error
-    estimate plus, at omega > 0, the Taylor series' bound.  modes_used counts
-    only the shells summed, so it is 0 at omega = 0.
+    geometric bound.  Off-center the families summed by shells near a
+    resonance contribute a rigorous bound too, from the sum rule of their
+    traces; tail_is_estimate is set there because the integrated families
+    contribute the quadrature's error estimate (plus, at omega > 0, the
+    Taylor series' bound).  modes_used counts only the shells summed, so it
+    is 0 at omega = 0.
     """
 
     value: complex
@@ -261,69 +263,61 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     return _result(total, omega, used, np.cumsum(tails)[-1].item(), False, sums.tolist(), policy)
 
 
-def _shell_tail_estimate(abs_terms):
-    """Geometric extrapolation of the remaining shells from the last few
-    computed, one estimate per row of abs_terms.
-
-    Strides over four shells to average out the even/odd coupling oscillation;
-    inf while the shell weights are still growing (the enumeration has not
-    passed the coupling peak yet).  A row of zeros has not reached its peak
-    either (far off axis a family's head underflows), so it is inf too; one
-    that decayed to exact zeros has passed it, and its tail is 0.
-    """
-    tails = []
-    for i, (last, ref) in enumerate(zip(abs_terms[:, -1].tolist(), abs_terms[:, -5].tolist())):
-        if last == 0.0 and ref == 0.0:
-            tails.append(0.0 if abs_terms[i].any() else math.inf)
-        elif ref <= 0.0 or last >= ref:
-            tails.append(math.inf)
-        else:
-            ratio = min((last / ref) ** 0.25, 0.999)
-            tails.append(last * ratio / (1.0 - ratio))
-    return tails
+#: a shelled family's sum-rule remainder G(1) - sum_{s<=S} T_s is floored at
+#: this fraction of G(1), or at (smax + 1) 2^-53 of it where that is larger:
+#: what a sequential sum of a level's smax + 1 traces can lose to rounding
+_SUM_RULE_FLOOR = 1e-12
 
 
-def _offaxis_family(table, n, om2, w2, phi, totals, policy):
-    """Family n's (kept sum, tail estimate, shell count) for each row of a
-    frequency grid: omega^2 in w2, loss angles in phi and the running totals
-    over the lower families in totals.  om2(smax) gives the family's Omega^2
-    up to shell smax.
+def _offaxis_family(table, n, om_m2, curv, g1, omegas, phi, totals, policy):
+    """Family n's (kept sum, tail bound, shell count) for each row of a
+    frequency grid: its omegas, loss angles phi and running totals over the
+    lower families; g1 = G(1) is the sum of all its shell traces.
 
-    Every row takes the first 64 shells; the rows whose tail misses their
-    target go on together to the next level, of twice as many shells.  The
-    shell axis is numpy's; the few numbers per row (tail, target, cut) are
-    Python scalars, which cost less than numpy calls on short rows.
+    The traces are non-negative, so a cut after shell S drops at most
+
+        (G(1) - sum_{s<=S} T_s) / min_{s>S} |Omega_s^2 (1 - i phi) - omega^2|,
+
+    the remainder floored for rounding.  Levels take 64 shells, then twice as
+    many; a row whose bound at its level's end meets its target keeps the
+    shortest prefix whose bound does.  At SHELL_CAP the rest keep every shell,
+    with the bound there as their tail.  The few numbers per row are Python
+    scalars, which cost less than numpy calls on short rows.
     """
     found = [None] * len(totals)
-    todo, smax = list(range(len(totals))), 64
+    todo, smax, w2 = list(range(len(totals))), 64, omegas * omegas
     while todo:
         smax = min(smax, SHELL_CAP)
         traces = table.traces(n, smax)
-        om2_s = om2(smax)
-        terms = traces / (om2_s - w2[:, None] - 1j * om2_s * phi[:, None])
-        abs_terms = np.abs(terms)
+        om2_s = om_m2 * (n * n + curv * n * np.arange(1.0, smax + 2.0))
+        den = om2_s - w2[:, None] - 1j * om2_s * phi[:, None]
+        terms = traces / den
         sums = np.add.reduce(terms, axis=1).tolist()
         targets = [policy.epsilon * abs(totals[k] + s) / (2.0 * policy.n_max) for k, s in zip(todo, sums)]
-        tails = _shell_tail_estimate(abs_terms)
-        done = [smax >= SHELL_CAP or tail <= target for tail, target in zip(tails, targets)]
+        # the traces left after each shell, and the smallest |denominator| past the level
+        left = np.maximum(g1 - np.cumsum(traces), max(_SUM_RULE_FLOOR, (smax + 1) * 2.0**-53) * g1)
+        beyond = [_min_abs_denominator_one(om_m2, n, curv, smax + 1, omega, p)
+                  for omega, p in zip(omegas.tolist(), phi.tolist())]
+        left_end = left[-1].item()
+        done = [smax >= SHELL_CAP or left_end / b <= t for b, t in zip(beyond, targets)]
         fin = [i for i, d in enumerate(done) if d]
         if fin:
             sel = slice(None) if len(fin) == len(todo) else fin
-            # trim: keep the smallest shell prefix whose dropped remainder still
-            # meets the per-family target, so the summand count tracks epsilon
-            remainder = np.zeros((len(fin), smax + 1))
-            remainder[:, :-1] = np.cumsum(abs_terms[sel, :0:-1], axis=1)[:, ::-1]
-            remainder += np.array([[tails[i]] for i in fin])
-            firsts = (remainder <= np.array([[targets[i]] for i in fin])).argmax(axis=1).tolist()
-            for i, row, left, first in zip(fin, terms[sel], remainder, firsts):
-                s = first if tails[i] <= targets[i] else smax
+            # the smallest |denominator| after each shell, within the level and past it
+            after = np.empty((len(fin), smax + 1))
+            after[:, :-1] = np.abs(den[sel, 1:])
+            after[:, -1] = [beyond[i] for i in fin]
+            bounds = left / np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
+            firsts = (bounds <= np.array([[targets[i]] for i in fin])).argmax(axis=1).tolist()
+            for i, row, bound, first in zip(fin, terms[sel], bounds, firsts):
+                s = first if bound[first] <= targets[i] else smax
                 # each kept prefix is summed on its own: padding would reorder it
-                found[todo[i]] = np.add.reduce(row[: s + 1]).item(), left[s].item(), s + 1
+                found[todo[i]] = np.add.reduce(row[: s + 1]).item(), bound[s].item(), s + 1
             if len(fin) == len(todo):
                 break
             still = [i for i, d in enumerate(done) if not d]
             todo = [todo[i] for i in still]
-            w2, phi = w2[still], phi[still]
+            omegas, w2, phi = omegas[still], w2[still], phi[still]
         smax *= 2
     return found
 
@@ -473,8 +467,8 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     error estimate is the quadrature's plus the bound on the series' cut.  The
     pairs nearer a resonance (the low families at high omega) sum shell by
     shell from a ShellTraceTable of those families alone, and modes_used
-    counts these shell summands; their per-family tail is an extrapolated
-    estimate, not a bound, and their tolerance refers to the whole row, the
+    counts these shell summands; their per-family tail is the sum-rule bound
+    of _offaxis_family, and their tolerance refers to the whole row, the
     integrated families included.  Families run outermost, so each family's
     shell traces serve every omega; within a family the omegas are the rows
     of one (omega x shell) array per level.
@@ -485,10 +479,10 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     n = np.arange(1.0, policy.n_max + 1.0)
     results = [None] * len(omegas)
     rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
-    w2 = np.array([omegas[k] * omegas[k] for k in rows])
+    om = np.array([omegas[k] for k in rows], dtype=float)
     phi = np.array([phis[k] for k in rows], dtype=float)
     # |delta| (1 + phi^2)^(1/2) and rho per (omega, family)
-    shift = w2[:, None] / (om_m2 * curv * n)
+    shift = (om * om)[:, None] / (om_m2 * curv * n)
     rho = shift / (np.hypot(1.0, phi)[:, None] * (1.0 + n / curv))
     taylor = rho <= _TAYLOR_RHO
     # a pair's series has the fewest terms K >= 1 with rho^K / (1 - rho) <= _TAYLOR_TARGET
@@ -520,16 +514,12 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
 
     shelled = np.flatnonzero(~taylor.all(axis=0)).tolist()
     table = ShellTraceTable(geometry, beam, range(1, shelled[-1] + 2)) if shelled else None
-    shells = np.arange(1.0, SHELL_CAP + 2.0)  # s + 1
-    for col in shelled:
+    beta, _, _, c0 = mehler_parameters(geometry, beam, n[shelled])
+    for col, g1 in zip(shelled, (c0 / (1.0 - beta * beta)).tolist()):  # G(1), the sum of the family's traces
         n_k = col + 1
         sub = np.flatnonzero(~taylor[:, col]).tolist()
-
-        def om2(smax):  # Omega^2 of shells 0..smax
-            return om_m2 * (n_k * n_k + curv * n_k * shells[: smax + 1])
-
-        found = _offaxis_family(table, n_k, om2, w2[sub], phi[sub], [totals[r] for r in sub], policy)
-        for r, (s_n, _, count) in zip(sub, found):
+        found = _offaxis_family(table, n_k, om_m2, curv, g1, om[sub], phi[sub], [totals[r] for r in sub], policy)
+        for r, (s_n, tail_n, count) in zip(sub, found):
             # one summand per degenerate shell; each shell trace folds in
             # its s//2 + 1 coupled cosine modes analytically
             modes[r] += count
@@ -539,7 +529,6 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
                     partial=_result(totals[r] + s_n, omegas[rows[r]], modes[r], math.inf, True, per_n[r][:col],
                                     policy),
                 )
-        for r, (s_n, tail_n, _) in zip(sub, found):
             totals[r] += s_n
             tails[r] += tail_n
             per_n[r][col] = s_n

@@ -25,7 +25,6 @@ from .susceptibility import (
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
-    _shell_tail_estimate,
     check_temperature,
     effective_susceptibility,
 )
@@ -200,13 +199,21 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+def _past_peak(terms):
+    """Per column of a (shell x family) block: its last term lies below the one
+    four shells back (the stride averages out the even/odd oscillation), or
+    both are 0 after non-zero ones; a column of zeros (a head that underflowed
+    far off axis) has not reached its peak."""
+    last, ref = terms[-1], terms[-5]
+    return ((last < ref) & (ref > 0.0)) | ((last == 0.0) & (ref == 0.0) & terms.any(axis=0))
+
+
 def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
     """All (n, shell) zero-frequency terms of a displaced beam down to a floor
     relative to the largest term of family 1's first 64 shells, as flat arrays
     (terms, n, shell) in ascending n, then shell.  The families still above
-    the floor at their last shell, or not yet past their peak there (as
-    _shell_tail_estimate judges it), take the next level (64, 128, ...,
-    SHELL_CAP) together."""
+    the floor at their last shell, or not yet past their peak there
+    (_past_peak), take the next level (64, 128, ..., SHELL_CAP) together."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
@@ -219,7 +226,7 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
         terms = table.block(todo[0], smax)[:, todo - todo[0]] / om2
         if floor is None:
             floor = terms[:, 0].max() * floor_rel
-        done = ((terms[-1] < floor) & np.isfinite(_shell_tail_estimate(terms.T))) | (smax >= SHELL_CAP)
+        done = ((terms[-1] < floor) & _past_peak(terms)) | (smax >= SHELL_CAP)
         kept = terms[:, done].T  # a row per finished family
         rows, s = np.nonzero(kept >= floor)
         parts.append((kept[rows, s], todo[done][rows], s))
@@ -245,8 +252,8 @@ def convergence_study(
     float64 sum; checkpoints beyond them return the saturated value.
     """
     checkpoints = list(checkpoints)
-    if any(c < 1 for c in checkpoints):
-        raise ValueError("checkpoints must be positive")
+    if not checkpoints or any(c < 1 for c in checkpoints):
+        raise ValueError(f"checkpoints must be one or more positive counts, got {checkpoints}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     check_beam_on_mirror(beam, geometry)

@@ -224,6 +224,9 @@ def test_spectrum_budget_exit_code(capsys):
         ("spectrum", "--points", "3", "--temperature", "inf"),
         ("spectrum", "--points", "3", "--omega-max", "inf"),
         ("sweep", "--param", "mass", "--lo", "10", "--hi", "20", "--points", "2", "--temperature", "nan"),
+        # empty grids: no header-only CSV
+        ("spectrum", "--points", "0"),
+        ("converge", "--checkpoints", ","),
     ],
 )
 def test_non_finite_inputs_exit_code(argv, capsys):

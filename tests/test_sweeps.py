@@ -135,6 +135,8 @@ def test_convergence_requires_increasing_checkpoints(geo):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [100, 100])
     with pytest.raises(ValueError):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [0, 10])
+    with pytest.raises(ValueError):
+        convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [])
 
 
 def test_convergence_offaxis_checkpoints(geo):
