@@ -304,9 +304,7 @@ def _offaxis_family(table, n, om_m2, curv, g1, omegas, phi, totals, policy):
         if fin:
             sel = slice(None) if len(fin) == len(todo) else fin
             # the smallest |denominator| after each shell, within the level and past it
-            after = np.empty((len(fin), smax + 1))
-            after[:, :-1] = np.abs(den[sel, 1:])
-            after[:, -1] = [beyond[i] for i in fin]
+            after = np.column_stack((np.abs(den[sel, 1:]), [beyond[i] for i in fin]))
             bounds = left / np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
             firsts = (bounds <= np.array([[targets[i]] for i in fin])).argmax(axis=1).tolist()
             for i, row, bound, first in zip(fin, terms[sel], bounds, firsts):

@@ -205,7 +205,10 @@ def _past_peak(terms):
     both are 0 after non-zero ones; a column of zeros (a head that underflowed
     far off axis) has not reached its peak."""
     last, ref = terms[-1], terms[-5]
-    return ((last < ref) & (ref > 0.0)) | ((last == 0.0) & (ref == 0.0) & terms.any(axis=0))
+    past = (last < ref) & (ref > 0.0)
+    zeros = (last == 0.0) & (ref == 0.0)
+    past[zeros] = terms[:, zeros].any(axis=0)  # on these columns alone: on all it is a pass over the block
+    return past
 
 
 def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
