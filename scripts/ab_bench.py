@@ -58,6 +58,9 @@ E2E_CASES = (
     ("chi0", ("-m", "mirnoise.cli", "chi0")),
     ("chi0 --waist 1e-3 --offset 0.01", ("-m", "mirnoise.cli", "chi0", "--waist", "1e-3", "--offset", "0.01")),
     ("chi0 --waist 1e-3 --offset 0.185", ("-m", "mirnoise.cli", "chi0", "--waist", "1e-3", "--offset", "0.185")),
+    ("converge --offset 0.025", ("-m", "mirnoise.cli", "converge", "--offset", "0.025")),
+    ("converge --waist 5e-3 --offset 0.03",
+     ("-m", "mirnoise.cli", "converge", "--waist", "5e-3", "--offset", "0.03")),
     ("converge --waist 1e-3 --offset 0.185",
      ("-m", "mirnoise.cli", "converge", "--waist", "1e-3", "--offset", "0.185")),
 )

@@ -51,7 +51,9 @@ DEFAULTS = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser built once."""
+    parser = argparse.ArgumentParser(add_help=False)
     add = parser.add_argument
     add("--mass", type=float, help="mirror mass, kg")
     add("--thickness", type=float, help="center thickness, m")
@@ -69,6 +71,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     add("--jobs", type=int, help="concurrent sweep evaluations")
     add("--output", type=str, help="write results to this file instead of stdout")
     add("--config", type=str, help="flat key = value config file")
+    return parser
 
 
 def _read_config(path: str) -> dict:
@@ -308,24 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Internal thermal noise of a plano-convex mirror seen by a Gaussian beam",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    p_geo = sub.add_parser("geometry", help="solve the mass/thickness closure")
-    _common_flags(p_geo)
+    p_geo = sub.add_parser("geometry", help="solve the mass/thickness closure", parents=common)
     p_geo.set_defaults(func=_cmd_geometry)
 
-    p_chi = sub.add_parser("chi0", help="zero-frequency effective susceptibility")
-    _common_flags(p_chi)
+    p_chi = sub.add_parser("chi0", help="zero-frequency effective susceptibility", parents=common)
     p_chi.set_defaults(func=_cmd_chi0)
 
-    p_spec = sub.add_parser("spectrum", help="thermal noise spectra on a log frequency grid")
-    _common_flags(p_spec)
+    p_spec = sub.add_parser("spectrum", help="thermal noise spectra on a log frequency grid", parents=common)
     p_spec.add_argument("--omega-min", type=float, default=2e2, help="grid start, rad/s")
     p_spec.add_argument("--omega-max", type=float, default=2e6, help="grid end, rad/s")
     p_spec.add_argument("--points", type=int, default=100)
     p_spec.set_defaults(func=_cmd_spectrum)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter and write CSV")
-    _common_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="sweep one parameter and write CSV", parents=common)
     p_sweep.add_argument("--param", required=True,
                          choices=["thickness", "waist", "offset", "mass"])
     p_sweep.add_argument("--lo", type=float)
@@ -333,13 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=int)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_conv = sub.add_parser("converge", help="susceptibility vs number of modes")
-    _common_flags(p_conv)
+    p_conv = sub.add_parser("converge", help="susceptibility vs number of modes", parents=common)
     p_conv.add_argument("--checkpoints", type=str, default="100,1000,10000,100000,1000000")
     p_conv.set_defaults(func=_cmd_converge)
 
-    p_cmp = sub.add_parser("compare", help="compare against the cylindrical reference values")
-    _common_flags(p_cmp)
+    p_cmp = sub.add_parser("compare", help="compare against the cylindrical reference values", parents=common)
     p_cmp.add_argument("--no-cylindrical", action="store_true",
                        help="report only the plano-convex value, any waist allowed")
     p_cmp.set_defaults(func=_cmd_compare)

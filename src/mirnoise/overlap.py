@@ -109,14 +109,16 @@ class ShellTraceTable:
     as they do (~s^2 ulps) in the double-root recurrence of e_s alone.  At
     mu = 0 every e_s past e_0 is exactly 0, and so are the odd T_s.  One numpy
     step per shell advances every family in play; growth continues from the
-    last rows and drops lower families' columns (n is visited ascending).
+    last rows and keeps the columns of the families last asked for alone.
+    Each column's recurrence is its own, so which columns are kept changes
+    no value.
     """
 
     _CHUNK = 256  # shells whose step coefficients are formed at once
 
     def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
-        self._first = families.start  # family of column 0
-        n = np.arange(families.start, families.stop, dtype=float)
+        self._families = np.arange(families.start, families.stop)  # family of each column
+        n = self._families.astype(float)
         self._beta, self._mu2x2, x, c0 = mehler_parameters(geometry, beam, n)
         self._beta2 = self._beta * self._beta
         # C = c0 e^-x, the (0, 0) mode's overlap^2 / mass, underflows far off
@@ -131,18 +133,26 @@ class ShellTraceTable:
         self._rows = np.array([np.zeros_like(c), c])
         self._e, self._d = c.copy(), c.copy()
 
-    def block(self, n: int, max_shell: int) -> np.ndarray:
-        """Shell traces (kg^-1) of families n, n+1, ..., one per column, for
-        s = 0..max_shell, read-only."""
-        col = n - self._first
-        if col < 0:
-            raise ValueError(f"family {n} was already dropped (table starts at {self._first})")
+    def block(self, families, max_shell: int) -> np.ndarray:
+        """Shell traces (kg^-1) for s = 0..max_shell, read-only, one column per
+        family: of the ascending families given, or, for one family n, of n and
+        every family above it that the table holds.  A growth keeps the columns
+        asked for alone; a family left out cannot be read after it."""
+        held = self._families
+        if np.ndim(families) == 0:
+            families = held[held >= families] if families in held else [families]
+        cols = np.searchsorted(held, families)
+        if not len(cols) or cols[-1] >= len(held) or not np.array_equal(held[cols], families):
+            raise ValueError(f"families {np.asarray(families).tolist()} are not all in the table, which "
+                             f"holds {len(held)} from {held[0]} to {held[-1]}")
         if max_shell + 2 > len(self._rows):
-            self._grow(col, max_shell)
-            col = 0
-        out = self._rows[1 : max_shell + 2, col:]
+            self._grow(cols, max_shell)
+            cols = np.arange(len(cols))
+        if cols[-1] - cols[0] + 1 == len(cols):  # a run of columns: a view, no copy
+            cols = slice(cols[0], cols[-1] + 1)
+        out = self._rows[1 : max_shell + 2, cols]
         if self._unscale is not None:
-            out = out * self._unscale[col:]
+            out = out * self._unscale[cols]
         out.flags.writeable = False
         return out
 
@@ -150,16 +160,16 @@ class ShellTraceTable:
         """Shell traces of family n for s = 0..max_shell (kg^-1), read-only."""
         return self.block(n, max_shell)[:, 0]
 
-    def _grow(self, col: int, max_shell: int) -> None:
-        """Drop the columns before col and continue the rest to max_shell."""
+    def _grow(self, cols: np.ndarray, max_shell: int) -> None:
+        """Keep the columns cols alone and continue them to max_shell."""
         known = len(self._rows) - 1  # shells 0..known-1
-        rows = np.empty((max_shell + 2, self._rows.shape[1] - col))
-        rows[: known + 1] = self._rows[:, col:]
-        self._rows, self._first = rows, self._first + col
-        self._mu2x2, self._beta, self._beta2 = self._mu2x2[col:], self._beta[col:], self._beta2[col:]
+        rows = np.empty((max_shell + 2, len(cols)))
+        rows[: known + 1] = self._rows[:, cols]
+        self._rows, self._families = rows, self._families[cols]
+        self._mu2x2, self._beta, self._beta2 = self._mu2x2[cols], self._beta[cols], self._beta2[cols]
         if self._unscale is not None:
-            self._unscale = self._unscale[col:]
-        self._e, self._d = e, d = self._e[col:].copy(), self._d[col:].copy()
+            self._unscale = self._unscale[cols]
+        self._e, self._d = e, d = self._e[cols], self._d[cols]
         beta, beta2, scratch = self._beta, self._beta2, np.empty(len(e))
         for lo in range(known - 1, max_shell, self._CHUNK):
             # steps s -> s + 1 for s = lo, lo + 1, ...: d_s = p_s e_s - q_s d_{s-1}

@@ -269,10 +269,12 @@ def _chi_centered(geometry, beam, omega, phi, policy):
 _SUM_RULE_FLOOR = 1e-12
 
 
-def _offaxis_family(table, n, om_m2, curv, g1, omegas, phi, totals, policy):
-    """Family n's (kept sum, tail bound, shell count) for each row of a
-    frequency grid: its omegas, loss angles phi and running totals over the
-    lower families; g1 = G(1) is the sum of all its shell traces.
+def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, policy):
+    """Family n = families[0]'s (kept sum, tail bound, shell count) for each
+    row of a frequency grid: its omegas, loss angles phi and running totals
+    over the lower families; g1 = G(1) is the sum of all its shell traces.
+    families are n and the higher families still to be summed by shells, the
+    columns that the table keeps when it grows.
 
     The traces are non-negative, so a cut after shell S drops at most
 
@@ -284,11 +286,11 @@ def _offaxis_family(table, n, om_m2, curv, g1, omegas, phi, totals, policy):
     with the bound there as their tail.  The few numbers per row are Python
     scalars, which cost less than numpy calls on short rows.
     """
-    found = [None] * len(totals)
+    n, found = families[0], [None] * len(totals)
     todo, smax, w2 = list(range(len(totals))), 64, omegas * omegas
     while todo:
         smax = min(smax, SHELL_CAP)
-        traces = table.traces(n, smax)
+        traces = table.block(families, smax)[:, 0]
         om2_s = om_m2 * (n * n + curv * n * np.arange(1.0, smax + 2.0))
         den = om2_s - w2[:, None] - 1j * om2_s * phi[:, None]
         terms = traces / den
@@ -511,12 +513,14 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     modes = [0] * len(rows)
 
     shelled = np.flatnonzero(~taylor.all(axis=0)).tolist()
+    families = [col + 1 for col in shelled]
     table = ShellTraceTable(geometry, beam, range(1, shelled[-1] + 2)) if shelled else None
     beta, _, _, c0 = mehler_parameters(geometry, beam, n[shelled])
-    for col, g1 in zip(shelled, (c0 / (1.0 - beta * beta)).tolist()):  # G(1), the sum of the family's traces
-        n_k = col + 1
+    for i, (col, g1) in enumerate(zip(shelled, (c0 / (1.0 - beta * beta)).tolist())):  # G(1), the sum of its traces
+        n_k = families[i]
         sub = np.flatnonzero(~taylor[:, col]).tolist()
-        found = _offaxis_family(table, n_k, om_m2, curv, g1, om[sub], phi[sub], [totals[r] for r in sub], policy)
+        found = _offaxis_family(table, families[i:], om_m2, curv, g1, om[sub], phi[sub], [totals[r] for r in sub],
+                                policy)
         for r, (s_n, tail_n, count) in zip(sub, found):
             # one summand per degenerate shell; each shell trace folds in
             # its s//2 + 1 coupled cosine modes analytically

@@ -156,9 +156,17 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _centered_term_pool(geometry, beam, n_max, floor_rel=1e-25):
-    """All (n, p) zero-frequency terms down to a negligibility floor, as flat
-    arrays (terms, n, p) in ascending n, then p.
+#: the term pools keep the terms of at least this fraction of their leading
+#: term L.  The study adds the terms largest first, so its running sum S is
+#: already >= L when a term t < 2^-54 L comes up; then t < 2^-54 S < ulp(S) / 2,
+#: and round-to-nearest leaves S as it is.  Every partial sum is the same
+#: with or without the terms below the floor.
+_POOL_FLOOR = 2.0**-54
+
+
+def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
+    """All (n, p) zero-frequency terms of at least floor_rel times family 1's
+    p = 0 term, as flat arrays (terms, n, p) in ascending n, then p.
 
     Each family's run of p is one stretch of flat arrays that hold the
     family's values repeated along it, so many families are built at once.
@@ -211,30 +219,38 @@ def _past_peak(terms):
     return past
 
 
-def _shell_term_pool(geometry, beam, n_max, floor_rel=1e-25):
-    """All (n, shell) zero-frequency terms of a displaced beam down to a floor
-    relative to the largest term of family 1's first 64 shells, as flat arrays
-    (terms, n, shell) in ascending n, then shell.  The families still above
-    the floor at their last shell, or not yet past their peak there
-    (_past_peak), take the next level (64, 128, ..., SHELL_CAP) together."""
+def _shell_term_levels(geometry, beam, n_max, floor_rel):
+    """Per level (64, 128, ..., SHELL_CAP), the terms (terms, n, shell) of the
+    families that finish there, in ascending n, then shell: those below the
+    floor at their last shell and past their peak (_past_peak), and every
+    family at SHELL_CAP.  The rest take the next level together; the table
+    grows their columns alone."""
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
     todo = np.arange(1, n_max + 1)
     nn, cn = (todo * todo).astype(float), curv * todo
-    smax, floor, parts = 64, None, []
+    smax, floor = 64, None
     while len(todo):
         smax = min(smax, SHELL_CAP)
         om2 = om_m2 * (nn[todo - 1] + cn[todo - 1] * (np.arange(smax + 1) + 1.0)[:, None])
-        terms = table.block(todo[0], smax)[:, todo - todo[0]] / om2
+        terms = table.block(todo, smax) / om2
         if floor is None:
             floor = terms[:, 0].max() * floor_rel
         done = ((terms[-1] < floor) & _past_peak(terms)) | (smax >= SHELL_CAP)
         kept = terms[:, done].T  # a row per finished family
         rows, s = np.nonzero(kept >= floor)
-        parts.append((kept[rows, s], todo[done][rows], s))
+        yield kept[rows, s], todo[done][rows], s
         todo, smax = todo[~done], 2 * smax
+
+
+def _shell_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
+    """All (n, shell) zero-frequency terms of a displaced beam of at least
+    floor_rel times the largest term of family 1's first 64 shells, as flat
+    arrays (terms, n, shell) in ascending n, then shell."""
+    parts = list(_shell_term_levels(geometry, beam, n_max, floor_rel))  # the table is gone once they are
     terms, n_ids, s_ids = (np.concatenate(part) for part in zip(*parts))
+    del parts  # before the reordered copies are made
     order = np.argsort(n_ids, kind="stable")
     return terms[order], n_ids[order], s_ids[order]
 
@@ -251,8 +267,10 @@ def convergence_study(
     The canonical enumeration orders modes by decreasing zero-frequency
     contribution (ties by ascending n then p), so checkpoint values form a
     nondecreasing sequence whose first entry is the fundamental mode alone.
-    Terms below 1e-25 of the leading one are numerically invisible in a
-    float64 sum; checkpoints beyond them return the saturated value.
+    The terms are summed in that order, so a term below 2^-54 of the leading
+    one is below half an ulp of the running sum and rounds away (_POOL_FLOOR):
+    the pools leave such terms out, and checkpoints that reach past the terms
+    kept return the saturated value, as they would with every term.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or any(c < 1 for c in checkpoints):
@@ -263,13 +281,14 @@ def convergence_study(
 
     centered = beam.offset == 0.0
     pool = _centered_term_pool if centered else _shell_term_pool
-    terms, n_ids, sub_ids = pool(geometry, beam, n_max)
-    # off axis the grains are degenerate shells of s//2 + 1 (cosine) modes
-    counts = np.ones(len(terms), dtype=int) if centered else sub_ids // 2 + 1
-    order = np.lexsort((sub_ids, n_ids, -terms))
+    terms, _, sub_ids = pool(geometry, beam, n_max)
+    # the pool comes in ascending n, then p or shell, so a stable sort breaks ties that way
+    order = np.argsort(-terms, kind="stable")
     # sequential sums in grain order; a checkpoint takes grains until their modes reach it
     csum = np.cumsum(terms[order])
-    taken = np.minimum(np.searchsorted(np.cumsum(counts[order]), checkpoints) + 1, len(csum))
+    # off axis the grains are degenerate shells of s//2 + 1 (cosine) modes
+    counts = np.ones(len(terms), dtype=int) if centered else sub_ids[order] // 2 + 1
+    taken = np.minimum(np.searchsorted(np.cumsum(counts), checkpoints) + 1, len(csum))
     return [(k, float(csum[j - 1]) if j else 0.0) for k, j in zip(checkpoints, taken)]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirnoise.cli import main
+from mirnoise.cli import DEFAULTS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -293,3 +293,34 @@ def test_zero_loss_angle_exit_code(argv, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: loss angle must lie in (0, 1), got 0.0\n"
+
+
+#: the flags that every subcommand takes: (flag, its value or None for a
+#: switch, the Namespace attribute, the parsed value)
+COMMON_FLAGS = (
+    ("--mass", "21", "mass", 21.0),
+    ("--thickness", "0.08", "thickness", 0.08),
+    ("--waist", "0.03", "waist", 0.03),
+    ("--offset", "0.01", "offset", 0.01),
+    ("--offset-in-waists", None, "offset_in_waists", True),
+    ("--temperature", "290", "temperature", 290.0),
+    ("--loss-angle", "2e-6", "loss_angle", 2e-6),
+    ("--density", "2300", "density", 2300.0),
+    ("--sound-speed", "6000", "sound_speed", 6000.0),
+    ("--epsilon", "1e-5", "epsilon", 1e-5),
+    ("--max-modes", "1000", "max_modes", 1000),
+    ("--n-max", "50", "n_max", 50),
+    ("--jobs", "2", "jobs", 2),
+    ("--output", "out.csv", "output", "out.csv"),
+    ("--config", "run.cfg", "config", "run.cfg"),
+)
+
+
+@pytest.mark.parametrize("command", ["geometry", "chi0", "spectrum", "sweep", "converge", "compare"])
+def test_every_subcommand_takes_every_common_flag(command):
+    assert {dest for _, _, dest, _ in COMMON_FLAGS} == set(DEFAULTS) | {"output", "config"}
+    argv = [command, "--param", "waist"] if command == "sweep" else [command]
+    for flag, value, _, _ in COMMON_FLAGS:
+        argv += [flag] if value is None else [flag, value]
+    args = build_parser().parse_args(argv)
+    assert [getattr(args, dest) for _, _, dest, _ in COMMON_FLAGS] == [value for *_, value in COMMON_FLAGS]

@@ -9,10 +9,12 @@ from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import ModeIndex, acoustic_waist_sq, fundamental_frequency, mode_data
 from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
 from mirnoise.susceptibility import TruncationPolicy, effective_susceptibility
+from mirnoise import sweeps
 from mirnoise.sweeps import (
     CSV_HEADER,
     CompareReport,
     SweepSpec,
+    _POOL_FLOOR,
     _centered_term_pool,
     _shell_term_pool,
     compare_report,
@@ -213,8 +215,8 @@ def test_centered_term_pool_matches_oracle(thickness):
     geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
     for waist in (0.001, 0.005, 0.02, 0.06):
         for n_max in (1, 7, 200):
-            pool = _oracle_centered_term_pool(geometry, BeamSpec(waist=waist), n_max)
-            terms, n_ids, p_ids = _centered_term_pool(geometry, BeamSpec(waist=waist), n_max)
+            pool = _oracle_centered_term_pool(geometry, BeamSpec(waist=waist), n_max, _POOL_FLOOR)
+            terms, n_ids, p_ids = _centered_term_pool(geometry, BeamSpec(waist=waist), n_max, _POOL_FLOOR)
             assert np.array_equal(terms, np.concatenate([t for _, t, _ in pool]))
             assert np.array_equal(n_ids, np.concatenate([np.full(len(t), n) for n, t, _ in pool]))
             assert np.array_equal(p_ids, np.concatenate([p for _, _, p in pool]))
@@ -258,6 +260,31 @@ def test_shell_term_pool_matches_oracle(thickness):
                                   (0.005, 0.11, (200,)), (0.001, 0.185, (200,))):
         beam = BeamSpec(waist=waist, offset=offset)
         for n_max in n_caps:
-            got = _shell_term_pool(geometry, beam, n_max)
-            for a, b in zip(got, _oracle_shell_term_pool(geometry, beam, n_max)):
+            got = _shell_term_pool(geometry, beam, n_max, _POOL_FLOOR)
+            for a, b in zip(got, _oracle_shell_term_pool(geometry, beam, n_max, _POOL_FLOOR)):
                 assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+def test_convergence_study_floor_is_invisible(thickness, monkeypatch):
+    # the study adds its terms largest first, so every term below the pools'
+    # floor, 2^-54 of the leading one, is below half an ulp of the running sum:
+    # the terms down to 1e-25 of it change no checkpoint
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beams = [BeamSpec(waist, offset) for waist, offset in (
+        (0.002, 0.0), (0.02, 0.0), (0.055, 0.0), (0.002, 0.05), (0.005, 0.11), (0.02, 0.025),
+        (0.035, 0.1), (0.055, 0.14), (0.002, 0.185))]
+    if thickness == 0.07:  # families 1-8 run to SHELL_CAP, and 197-200 run scaled and read 0
+        beams.append(BeamSpec(0.001, 0.185))
+    checkpoints = [1, 10, 100, 1000, 10**4, 10**5, 10**6, 10**8, 10**12]
+    sizes, studies = {}, {}
+    for floor_rel in (_POOL_FLOOR, 1e-25):
+        for name, pool in (("_centered_term_pool", _centered_term_pool), ("_shell_term_pool", _shell_term_pool)):
+            def at_floor(geometry, beam, n_max, pool=pool, floor_rel=floor_rel):
+                terms, n_ids, sub_ids = pool(geometry, beam, n_max, floor_rel)
+                sizes.setdefault(floor_rel, []).append(len(terms))
+                return terms, n_ids, sub_ids
+            monkeypatch.setattr(sweeps, name, at_floor)
+        studies[floor_rel] = [convergence_study(geometry, beam, 1e-6, checkpoints) for beam in beams]
+    assert studies[_POOL_FLOOR] == studies[1e-25]
+    assert all(a < b for a, b in zip(sizes[_POOL_FLOOR], sizes[1e-25]))  # the floors keep different terms
