@@ -248,7 +248,7 @@ def _shell_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
     """All (n, shell) zero-frequency terms of a displaced beam of at least
     floor_rel times the largest term of family 1's first 64 shells, as flat
     arrays (terms, n, shell) in ascending n, then shell."""
-    parts = list(_shell_term_levels(geometry, beam, n_max, floor_rel))  # the table is gone once they are
+    parts = list(_shell_term_levels(geometry, beam, n_max, floor_rel))  # frees the table and the last level
     terms, n_ids, s_ids = (np.concatenate(part) for part in zip(*parts))
     del parts  # before the reordered copies are made
     order = np.argsort(n_ids, kind="stable")
