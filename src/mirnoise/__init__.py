@@ -6,19 +6,9 @@ from .geometry import (
     Material,
     PlanoConvexGeometry,
     solve_geometry,
-    thickness_profile,
 )
-from .modes import (
-    ModeData,
-    ModeIndex,
-    fundamental_frequency,
-    mode_data,
-)
-from .overlap import (
-    BeamSpec,
-    OverlapWeight,
-    overlap_centered,
-)
+from .modes import fundamental_frequency
+from .overlap import BeamSpec
 from .susceptibility import (
     BOLTZMANN,
     OpticalMassApprox,
@@ -28,7 +18,6 @@ from .susceptibility import (
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
-    mode_susceptibility,
     optical_mass_model,
     thermal_force_spectrum,
 )
@@ -51,10 +40,7 @@ __all__ = [
     "FUSED_SILICA",
     "InfeasibleGeometryError",
     "Material",
-    "ModeData",
-    "ModeIndex",
     "OpticalMassApprox",
-    "OverlapWeight",
     "PlanoConvexGeometry",
     "SpectrumPoint",
     "SusceptibilityResult",
@@ -67,12 +53,8 @@ __all__ = [
     "effective_susceptibility",
     "effective_susceptibility_grid",
     "fundamental_frequency",
-    "mode_data",
-    "mode_susceptibility",
     "optical_mass_model",
-    "overlap_centered",
     "run_sweep",
     "solve_geometry",
     "thermal_force_spectrum",
-    "thickness_profile",
 ]

@@ -93,8 +93,11 @@ def _coerce(key: str, value):
         default = DEFAULTS[key]
         if isinstance(default, bool):
             return value.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int):
-            return int(float(value))
+        if isinstance(default, int):  # "1e6" is a count; "2.5" and "inf" are not
+            number = float(value)
+            if not number.is_integer():
+                raise ValueError(f"config key {key} must be an integer, got {value!r}")
+            return int(number)
         return float(value)
     return value
 

@@ -114,13 +114,3 @@ def solve_geometry(mass: float, thickness: float, material: Material) -> PlanoCo
         material=material,
     )
 
-
-def thickness_profile(geometry: PlanoConvexGeometry, r: float) -> float:
-    """Local substrate thickness at radial position r on the mirror face.
-
-    h(r) = sqrt(R^2 - r^2) - (R - h0); h(0) = h0 and h(D/2) = 0 at the sharp edge.
-    """
-    if not 0 <= r <= geometry.diameter / 2.0 * (1.0 + 1e-12):
-        raise ValueError(f"radial position {r} outside the mirror face [0, {geometry.diameter / 2}]")
-    rc = geometry.curvature_radius
-    return math.sqrt(max(rc * rc - r * r, 0.0)) - (rc - geometry.thickness)

@@ -1,9 +1,8 @@
 """Overlaps between the acoustic modes and the readout beam.
 
-A centered beam's overlaps with the l = 0 modes have a closed form.  An
-offset beam is summed shell by shell: ShellTraceTable gives, for each
+An offset beam is summed shell by shell: ShellTraceTable gives, for each
 degenerate (n, 2p+l) shell, the total overlap^2 / mass of its modes.  The
-per-mode off-axis overlaps and the quadrature oracles live in
+per-mode overlaps, centered and off axis, and the quadrature oracles live in
 mirnoise.validation, which the runtime never imports.
 """
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlanoConvexGeometry
-from .modes import ModeData, ModeIndex, acoustic_waist_sq
+from .modes import acoustic_waist_sq
 
 
 @dataclass(frozen=True)
@@ -31,12 +30,6 @@ class BeamSpec:
             raise ValueError(f"beam offset must be finite and non-negative, got {self.offset}")
 
 
-@dataclass(frozen=True)
-class OverlapWeight:
-    index: ModeIndex
-    value: float
-
-
 def check_beam_on_mirror(beam: BeamSpec, geometry: PlanoConvexGeometry) -> None:
     """Enforce the margin invariant d + w0 < D/2 (beam entirely on the face)."""
     if beam.offset + beam.waist >= geometry.diameter / 2.0:
@@ -44,22 +37,6 @@ def check_beam_on_mirror(beam: BeamSpec, geometry: PlanoConvexGeometry) -> None:
             f"beam (waist {beam.waist} m, offset {beam.offset} m) leaves the "
             f"mirror face of radius {geometry.diameter / 2.0} m"
         )
-
-
-def overlap_centered(mode: ModeData, beam: BeamSpec) -> OverlapWeight:
-    """Closed-form overlap for a centered beam and an l = 0 mode.
-
-    value = [2 w_n^2/(2 w_n^2 + w0^2)] * [(2 w_n^2 - w0^2)/(2 w_n^2 + w0^2)]^p
-    """
-    if beam.offset != 0.0:
-        raise ValueError("overlap_centered requires a centered beam (offset = 0)")
-    if mode.index.l != 0:
-        raise ValueError("modes with l >= 1 have zero overlap with a centered beam")
-    wn2 = mode.waist * mode.waist
-    w02 = beam.waist * beam.waist
-    c = 2.0 * wn2 / (2.0 * wn2 + w02)
-    q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
-    return OverlapWeight(index=mode.index, value=c * q**mode.index.p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .geometry import PlanoConvexGeometry, check_loss_angle
-from .modes import ModeData, acoustic_waist_sq, fundamental_frequency
+from .modes import acoustic_waist_sq, fundamental_frequency, shell_frequency_sq, spectrum_constants
 from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror, mehler_parameters
 
 #: Boltzmann constant, J/K (exact SI value)
@@ -34,6 +35,12 @@ def _loss_at(loss_angle: LossAngle, omega: float) -> float:
     phi = loss_angle(omega) if callable(loss_angle) else float(loss_angle)
     check_loss_angle(phi, f" at omega={omega}")
     return phi
+
+
+def check_count(name: str, value) -> None:
+    """Enforce an integer count of at least 1; numpy integers are integers."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer count of at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 1 <= self.max_modes < math.inf:
-            raise ValueError(f"max_modes must be a finite count of at least 1, got {self.max_modes}")
-        if not 1 <= self.n_max < math.inf:
-            raise ValueError(f"n_max must be a finite count of at least 1, got {self.n_max}")
+        check_count("max_modes", self.max_modes)
+        check_count("n_max", self.n_max)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -130,17 +135,6 @@ def _result(total, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy)
     )
 
 
-def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> complex:
-    """Lorentzian response 1/(M (Omega_n^2 - omega^2 - i Omega_n^2 phi))."""
-    if omega < 0:
-        raise ValueError("frequency must be non-negative")
-    # one lossless mode (phi = 0) is singular only at its own resonance
-    phi = 0.0 if loss_angle == 0 else _loss_at(loss_angle, omega)
-    om_n2 = mode.frequency * mode.frequency
-    den = mode.effective_mass * complex(om_n2 - omega * omega, -om_n2 * phi)
-    return 1.0 / den
-
-
 def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
     """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|,
     elementwise over the families n.
@@ -151,7 +145,7 @@ def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
     om2 = omega * omega
     s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
     s = np.maximum([shell_start, np.floor(s_cross), np.ceil(s_cross)], shell_start)
-    w2 = om_m2 * (n * n + curv * n * (s + 1.0))
+    w2 = shell_frequency_sq(om_m2, curv, n, s)
     return np.hypot(w2 - om2, -w2 * phi).min(axis=0)
 
 
@@ -161,7 +155,7 @@ def _min_abs_denominator_one(om_m2, n, curv, shell_start, omega, phi):
     om2 = omega * omega
     s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
     shells = (shell_start, max(math.floor(s_cross), shell_start), max(math.ceil(s_cross), shell_start))
-    w2 = [om_m2 * (n * n + curv * n * (s + 1.0)) for s in shells]
+    w2 = [shell_frequency_sq(om_m2, curv, n, s) for s in shells]
     return min(abs(complex(w - om2, -w * phi)) for w in w2)
 
 
@@ -171,7 +165,7 @@ def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     columns (a row per family)."""
     p = np.arange(p0, p0 + count, dtype=float)
     ovl2 = ovl2_head * q2 ** (p - p0)
-    om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
+    om2 = shell_frequency_sq(om_m2, curv, n, 2.0 * p)
     if omega == 0.0:
         return (ovl2 / (mass * om2)).sum(axis=-1)
     return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1)
@@ -183,7 +177,7 @@ def _centered_tail(om_m2, curv, n, mass, q2, ovl2_next, p_next, omega, phi, min_
     min_abs_den finds at omega > 0.  A degenerate beam (w0 -> 0, q2 = 1) has
     no geometric decay and an infinite tail."""
     if omega == 0.0:
-        min_den = om_m2 * (n * n + curv * n * (2.0 * p_next + 1.0))
+        min_den = shell_frequency_sq(om_m2, curv, n, 2.0 * p_next)
     else:
         min_den = min_abs_den(om_m2, n, curv, 2 * p_next, omega, phi)
     return ovl2_next / ((1.0 - q2) * mass * min_den)
@@ -200,9 +194,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     first block suffices in one vector step, up to the next one that needs a
     further block, which it sums alone before walking on.
     """
-    om_m = fundamental_frequency(geometry)
-    om_m2 = om_m * om_m
-    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
     first = 64
     # a family past max_modes // first + 1 cannot be reached within the budget
@@ -291,7 +283,7 @@ def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, polic
     while todo:
         smax = min(smax, SHELL_CAP)
         traces = table.block(families, smax)[:, 0]
-        om2_s = om_m2 * (n * n + curv * n * np.arange(1.0, smax + 2.0))
+        om2_s = shell_frequency_sq(om_m2, curv, n, np.arange(smax + 1.0))
         den = om2_s - w2[:, None] - 1j * om2_s * phi[:, None]
         terms = traces / den
         sums = np.add.reduce(terms, axis=1).tolist()
@@ -473,9 +465,7 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     shell traces serve every omega; within a family the omegas are the rows
     of one (omega x shell) array per level.
     """
-    om_m = fundamental_frequency(geometry)
-    om_m2 = om_m * om_m
-    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    om_m2, curv = spectrum_constants(geometry)
     n = np.arange(1.0, policy.n_max + 1.0)
     results = [None] * len(omegas)
     rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
@@ -650,9 +640,8 @@ def optical_mass_model(geometry: PlanoConvexGeometry, beam: BeamSpec) -> Optical
     m_opt = (12.0 / math.pi**2) * (math.pi / 4.0) * geometry.material.density * (
         geometry.thickness * beam.waist * beam.waist
     )
-    om_m = fundamental_frequency(geometry)
     return OpticalMassApprox(
         optical_mass=m_opt,
-        fundamental_frequency=om_m,
-        chi_approx=1.0 / (m_opt * om_m * om_m),
+        fundamental_frequency=fundamental_frequency(geometry),
+        chi_approx=1.0 / (m_opt * spectrum_constants(geometry)[0]),
     )

@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .geometry import Material, FUSED_SILICA, PlanoConvexGeometry, solve_geometry
-from .modes import acoustic_waist_sq, fundamental_frequency
+from .modes import acoustic_waist_sq, shell_frequency_sq, spectrum_constants
 from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 from .susceptibility import (
     DEFAULT_POLICY,
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
+    check_count,
     check_temperature,
     effective_susceptibility,
 )
@@ -171,8 +172,7 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
     Each family's run of p is one stretch of flat arrays that hold the
     family's values repeated along it, so many families are built at once.
     """
-    om_m2 = fundamental_frequency(geometry) ** 2
-    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
     n = np.arange(1, n_max + 1)
     wn2 = acoustic_waist_sq(geometry, n.astype(float))
@@ -180,7 +180,7 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
     c = 2.0 * wn2 / (2.0 * wn2 + w02)
     # Python's scalar pow and log: numpy's vector ones can differ in the last bit
     q2 = [q**2 for q in ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)).tolist()]
-    head = (c * c / (mass * om_m2 * (n * n + curv * n))).tolist()
+    head = (c * c / (mass * shell_frequency_sq(om_m2, curv, n, 0.0))).tolist()
     floor = head[0] * floor_rel
     # p count from pure geometric decay (denominator growth only helps)
     counts = np.array([
@@ -189,7 +189,7 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
         else int(math.log(floor / head_n) / math.log(q2_n)) + 2 if q2_n < 1 else 10**6
         for head_n, q2_n in zip(head, q2)
     ])
-    per_family = (n, c * c, np.array(q2), n * n, curv * n, mass)
+    per_family = (n, c * c, np.array(q2), mass)
     ends = np.cumsum(counts)
     starts = ends - counts
     parts, lo = [], 0
@@ -197,10 +197,10 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
         # families lo..hi-1: one family or more, up to about 2^15 terms, so
         # that the temporaries stay in cache
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + 2**15, side="right")))
-        n_k, c2, q2_k, nn, cn, mass_k = (np.repeat(a[lo:hi], counts[lo:hi]) for a in per_family)
+        n_k, c2, q2_k, mass_k = (np.repeat(a[lo:hi], counts[lo:hi]) for a in per_family)
         p = np.arange(len(n_k)) - np.repeat(starts[lo:hi] - starts[lo], counts[lo:hi])
         terms = c2 * q2_k ** p.astype(float)  # the overlap^2, c^2 q^(2p)
-        terms /= mass_k * (om_m2 * (nn + cn * (2.0 * p + 1.0)))
+        terms /= mass_k * shell_frequency_sq(om_m2, curv, n_k, 2.0 * p)
         keep = terms >= floor
         parts.append((terms[keep], n_k[keep], p[keep]))
         lo = hi
@@ -225,16 +225,13 @@ def _shell_term_levels(geometry, beam, n_max, floor_rel):
     floor at their last shell and past their peak (_past_peak), and every
     family at SHELL_CAP.  The rest take the next level together; the table
     grows their columns alone."""
-    om_m2 = fundamental_frequency(geometry) ** 2
-    curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    om_m2, curv = spectrum_constants(geometry)
     table = ShellTraceTable(geometry, beam, range(1, n_max + 1))
     todo = np.arange(1, n_max + 1)
-    nn, cn = (todo * todo).astype(float), curv * todo
     smax, floor = 64, None
     while len(todo):
         smax = min(smax, SHELL_CAP)
-        om2 = om_m2 * (nn[todo - 1] + cn[todo - 1] * (np.arange(smax + 1) + 1.0)[:, None])
-        terms = table.block(todo, smax) / om2
+        terms = table.block(todo, smax) / shell_frequency_sq(om_m2, curv, todo, np.arange(smax + 1.0)[:, None])
         if floor is None:
             floor = terms[:, 0].max() * floor_rel
         done = ((terms[-1] < floor) & _past_peak(terms)) | (smax >= SHELL_CAP)
@@ -272,6 +269,7 @@ def convergence_study(
     the pools leave such terms out, and checkpoints that reach past the terms
     kept return the saturated value, as they would with every term.
     """
+    check_count("n_max", n_max)
     checkpoints = list(checkpoints)
     if not checkpoints or any(c < 1 for c in checkpoints):
         raise ValueError(f"checkpoints must be one or more positive counts, got {checkpoints}")

@@ -1,7 +1,9 @@
 """Independent oracles for the runtime numerics; tests import this module,
 the package and its command line never do.
 
-Per-mode off-axis overlaps (an exact integer Hermite-product expansion,
+The per-mode layer (mode indices, effective masses, eigenfrequencies, centered
+overlaps and single-mode susceptibilities, and the local thickness profile),
+per-mode off-axis overlaps (an exact integer Hermite-product expansion,
 contracted in adaptive multiprecision with mpmath), direct quadratures of the
 overlap and of the effective mass over the mirror face, and one-family views
 of the shell traces.
@@ -9,14 +11,158 @@ of the shell traces.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Literal
 
 import mpmath as mp
 import numpy as np
 
 from .geometry import PlanoConvexGeometry
-from .modes import ModeData, ModeIndex, acoustic_waist_sq
-from .overlap import BeamSpec, OverlapWeight, ShellTraceTable, check_beam_on_mirror
+from .modes import acoustic_waist_sq, fundamental_frequency
+from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
+from .susceptibility import LossAngle, _loss_at
+
+Parity = Literal["cos", "sin"]
+
+
+# ---------------------------------------------------------------------------
+# The per-mode layer
+#
+# Mode (n, p, l) has the surface displacement at z = 0
+#
+#     u(r, phi) = exp(-r^2/w_n^2) (sqrt(2) r/w_n)^l L_p^l(2 r^2/w_n^2) ang(l phi),
+#
+# ang = cos or sin, and lies in the degenerate shell 2p + l of family n.
+# ---------------------------------------------------------------------------
+
+
+def thickness_profile(geometry: PlanoConvexGeometry, r: float) -> float:
+    """Local substrate thickness at radial position r on the mirror face.
+
+    h(r) = sqrt(R^2 - r^2) - (R - h0); h(0) = h0 and h(D/2) = 0 at the sharp edge.
+    """
+    if not 0 <= r <= geometry.diameter / 2.0 * (1.0 + 1e-12):
+        raise ValueError(f"radial position {r} outside the mirror face [0, {geometry.diameter / 2}]")
+    rc = geometry.curvature_radius
+    return math.sqrt(max(rc * rc - r * r, 0.0)) - (rc - geometry.thickness)
+
+
+@dataclass(frozen=True)
+class ModeIndex:
+    n: int
+    p: int = 0
+    l: int = 0
+    parity: Parity = "cos"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"longitudinal index must be >= 1, got {self.n}")
+        if self.p < 0 or self.l < 0:
+            raise ValueError(f"radial/angular indices must be >= 0, got p={self.p}, l={self.l}")
+        if self.parity not in ("cos", "sin"):
+            raise ValueError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
+        if self.l == 0 and self.parity != "cos":
+            raise ValueError("l = 0 modes have no sine partner")
+
+    @property
+    def shell(self) -> int:
+        """Transverse shell number 2p + l; modes of equal (n, shell) are degenerate."""
+        return 2 * self.p + self.l
+
+
+@dataclass(frozen=True)
+class ModeData:
+    """Derived per-mode quantities, all SI."""
+
+    index: ModeIndex
+    geometry: PlanoConvexGeometry
+    waist: float
+    frequency: float
+    effective_mass: float
+    fundamental_frequency: float
+
+
+def eigenfrequency_sq(geometry: PlanoConvexGeometry, n: int, shell: int) -> float:
+    """Omega^2 for all modes of longitudinal index n in transverse shell 2p+l;
+    written out here as the reference for modes.shell_frequency_sq."""
+    om = fundamental_frequency(geometry)
+    curvature_term = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
+    return om * om * (n * n + curvature_term * n * (shell + 1))
+
+
+def factorial_ratio(p: int, l: int) -> float:
+    """(p+l)!/p! as a float, accumulated exactly in integer arithmetic.
+
+    Never forms the two factorials separately; the exact integer product is
+    converted to float once, so the result is correctly rounded whenever it is
+    representable at all.
+    """
+    if p < 0 or l < 0:
+        raise ValueError("indices must be non-negative")
+    acc = 1
+    for j in range(p + 1, p + l + 1):
+        acc *= j
+    return float(acc)
+
+
+def effective_mass(geometry: PlanoConvexGeometry, index: ModeIndex) -> float:
+    """Oscillator mass of the mode for its peak surface-displacement coordinate.
+
+    (pi/4) rho h0 w_n^2 for l = 0; the angular integral halves and the radial
+    norm picks up (p+l)!/p! for l >= 1.
+    """
+    rho = geometry.material.density
+    wn2 = acoustic_waist_sq(geometry, index.n)
+    base = rho * geometry.thickness * wn2
+    if index.l == 0:
+        return (math.pi / 4.0) * base
+    return (math.pi / 8.0) * base * factorial_ratio(index.p, index.l)
+
+
+def mode_data(geometry: PlanoConvexGeometry, index: ModeIndex) -> ModeData:
+    """Assemble waist, eigenfrequency and effective mass for one mode."""
+    return ModeData(
+        index=index,
+        geometry=geometry,
+        waist=math.sqrt(acoustic_waist_sq(geometry, index.n)),
+        frequency=math.sqrt(eigenfrequency_sq(geometry, index.n, index.shell)),
+        effective_mass=effective_mass(geometry, index),
+        fundamental_frequency=fundamental_frequency(geometry),
+    )
+
+
+@dataclass(frozen=True)
+class OverlapWeight:
+    index: ModeIndex
+    value: float
+
+
+def overlap_centered(mode: ModeData, beam: BeamSpec) -> OverlapWeight:
+    """Closed-form overlap for a centered beam and an l = 0 mode.
+
+    value = [2 w_n^2/(2 w_n^2 + w0^2)] * [(2 w_n^2 - w0^2)/(2 w_n^2 + w0^2)]^p
+    """
+    if beam.offset != 0.0:
+        raise ValueError("overlap_centered requires a centered beam (offset = 0)")
+    if mode.index.l != 0:
+        raise ValueError("modes with l >= 1 have zero overlap with a centered beam")
+    wn2 = mode.waist * mode.waist
+    w02 = beam.waist * beam.waist
+    c = 2.0 * wn2 / (2.0 * wn2 + w02)
+    q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+    return OverlapWeight(index=mode.index, value=c * q**mode.index.p)
+
+
+def mode_susceptibility(mode: ModeData, omega: float, loss_angle: LossAngle) -> complex:
+    """Lorentzian response 1/(M (Omega_n^2 - omega^2 - i Omega_n^2 phi))."""
+    if omega < 0:
+        raise ValueError("frequency must be non-negative")
+    # one lossless mode (phi = 0) is singular only at its own resonance
+    phi = 0.0 if loss_angle == 0 else _loss_at(loss_angle, omega)
+    om_n2 = mode.frequency * mode.frequency
+    den = mode.effective_mass * complex(om_n2 - omega * omega, -om_n2 * phi)
+    return 1.0 / den
 
 
 class QuadratureConvergenceError(RuntimeError):

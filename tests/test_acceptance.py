@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import ModeIndex, effective_mass, fundamental_frequency, mode_data
+from mirnoise.modes import fundamental_frequency
 from mirnoise.overlap import BeamSpec
 from mirnoise.susceptibility import (
     BOLTZMANN,
@@ -24,7 +24,14 @@ from mirnoise.susceptibility import (
     thermal_force_spectrum,
 )
 from mirnoise.sweeps import SweepSpec, convergence_study, run_sweep, sweep_csv
-from mirnoise.validation import effective_mass_oracle, overlap_offaxis, overlap_quadrature_oracle
+from mirnoise.validation import (
+    ModeIndex,
+    effective_mass,
+    effective_mass_oracle,
+    mode_data,
+    overlap_offaxis,
+    overlap_quadrature_oracle,
+)
 
 
 def verdict(num, name, ok, detail):

@@ -86,6 +86,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "invalid choice: 'mode-count'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["n_max = 2.5", "max_modes = 1000.5", "max_modes = inf", "jobs = nan"])
+def test_non_integer_config_count_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "chi0", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key ") and err.count("\n") == 1
+
+
 def test_sweep_csv_format_and_determinism(capsys):
     args = ("sweep", "--param", "waist", "--lo", "0.02", "--hi", "0.04", "--points", "3")
     code, out_a, _ = run_cli(capsys, *args)
@@ -269,7 +279,8 @@ import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
 import mirnoise, mirnoise.cli
 for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["chi0", "--waist", "0.001", "--offset", "0.185"],
-             ["spectrum", "--points", "3"], ["converge"]):
+             ["spectrum", "--points", "3"], ["converge"], ["geometry"],
+             ["sweep", "--param", "mass", "--lo", "10", "--hi", "20", "--points", "2"], ["compare"]):
     assert mirnoise.cli.main(argv) == 0, argv
 assert "mirnoise.validation" not in sys.modules
 """

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirnoise.errors import InfeasibleGeometryError
-from mirnoise.geometry import (
-    FUSED_SILICA,
-    Material,
-    solve_geometry,
-    thickness_profile,
-)
+from mirnoise.geometry import FUSED_SILICA, Material, solve_geometry
+from mirnoise.validation import thickness_profile
 
 
 def test_material_validation():

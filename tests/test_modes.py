@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import (
+from mirnoise.modes import acoustic_waist_sq, fundamental_frequency, shell_frequency_sq, spectrum_constants
+from mirnoise.validation import (
     ModeIndex,
-    acoustic_waist_sq,
     effective_mass,
+    effective_mass_oracle,
     eigenfrequency_sq,
     factorial_ratio,
-    fundamental_frequency,
+    generalized_laguerre,
     mode_data,
+    surface_displacement,
 )
-from mirnoise.validation import effective_mass_oracle, generalized_laguerre, surface_displacement
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +57,24 @@ def test_eigenfrequency_fundamental_mode(geo):
     assert eigenfrequency_sq(geo, 1, 0) == pytest.approx(om_m2 * (1 + curv), rel=1e-14)
 
 
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+def test_shell_frequency_sq_matches_reference(thickness):
+    # both square Omega_M as om * om, so every value is the same double
+    geo = solve_geometry(20.0, thickness, FUSED_SILICA)
+    om_m2, curv = spectrum_constants(geo)
+    n, s = np.arange(1, 201), np.arange(65)
+    grid = shell_frequency_sq(om_m2, curv, n.astype(float)[:, None], s.astype(float))
+    reference = [[eigenfrequency_sq(geo, n_k, s_k) for s_k in s.tolist()] for n_k in n.tolist()]
+    assert np.array_equal(grid, reference)
+    for n_k, s_k in ((1, 0), (7, 3), (200, 64)):  # Python floats and ints
+        assert shell_frequency_sq(om_m2, curv, float(n_k), s_k) == eigenfrequency_sq(geo, n_k, s_k)
+
+
 def test_mode_data_invariants(geo):
     md = mode_data(geo, ModeIndex(n=3, p=2, l=1))
     assert md.waist**2 * 3 == pytest.approx(acoustic_waist_sq(geo, 1), rel=1e-12)
     assert md.frequency**2 == pytest.approx(eigenfrequency_sq(geo, 3, 5), rel=1e-12)
     assert md.fundamental_frequency == pytest.approx(fundamental_frequency(geo), rel=1e-14)
-    assert md.confinement_ratio > 0
 
 
 @given(

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import ModeIndex, acoustic_waist_sq, effective_mass, mode_data
-from mirnoise.overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror, overlap_centered
+from mirnoise.modes import acoustic_waist_sq
+from mirnoise.overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 from mirnoise.validation import (
+    ModeIndex,
     QuadratureConvergenceError,
+    effective_mass,
+    mode_data,
+    overlap_centered,
     beam_profile,
     hermite_product_tables,
     normalized_hermite_beam_sequence,

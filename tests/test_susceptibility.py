@@ -8,15 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mirnoise.errors import BudgetExceededError
 from mirnoise.geometry import FUSED_SILICA, Material, solve_geometry
-from mirnoise.modes import (
-    ModeIndex,
-    acoustic_waist_sq,
-    effective_mass,
-    eigenfrequency_sq,
-    fundamental_frequency,
-    mode_data,
-)
-from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters, overlap_centered
+from mirnoise.modes import acoustic_waist_sq, fundamental_frequency
+from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SHELL_CAP,
@@ -25,13 +18,21 @@ from mirnoise.susceptibility import (
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
-    mode_susceptibility,
     optical_mass_model,
     spectrum_point,
     thermal_force_spectrum,
 )
 from mirnoise.sweeps import _past_peak, convergence_study
-from mirnoise.validation import family_shell_sum, shell_overlap_sq_over_mass
+from mirnoise.validation import (
+    ModeIndex,
+    effective_mass,
+    eigenfrequency_sq,
+    family_shell_sum,
+    mode_data,
+    mode_susceptibility,
+    overlap_centered,
+    shell_overlap_sq_over_mass,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,10 @@ def test_policy_validation():
         TruncationPolicy(max_modes=0)
     with pytest.raises(ValueError):
         TruncationPolicy(n_max=0)
+    for kwargs in ({"n_max": 2.5}, {"max_modes": 1000.5}, {"n_max": 50.0}):
+        with pytest.raises(ValueError, match="integer"):
+            TruncationPolicy(**kwargs)
+    assert TruncationPolicy(max_modes=np.int64(1000), n_max=np.int32(50)).n_max == 50
     with pytest.raises(TypeError):  # p and l have no caps
         TruncationPolicy(p_max=1)
 

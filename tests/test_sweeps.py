@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirnoise import sweeps
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
-from mirnoise.modes import ModeIndex, acoustic_waist_sq, fundamental_frequency, mode_data
-from mirnoise.overlap import BeamSpec, ShellTraceTable, overlap_centered
+from mirnoise.modes import acoustic_waist_sq, fundamental_frequency
+from mirnoise.overlap import BeamSpec, ShellTraceTable
 from mirnoise.susceptibility import TruncationPolicy, effective_susceptibility
 from mirnoise.sweeps import (
     CSV_HEADER,
@@ -22,6 +22,7 @@ from mirnoise.sweeps import (
     run_sweep,
     sweep_csv,
 )
+from mirnoise.validation import ModeIndex, mode_data, overlap_centered
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,13 @@ def test_convergence_requires_increasing_checkpoints(geo):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [0, 10])
     with pytest.raises(ValueError):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03])
+@pytest.mark.parametrize("n_max", [0, -3, 2.5])
+def test_convergence_study_rejects_bad_n_max(geo, offset, n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer count"):
+        convergence_study(geo, BeamSpec(waist=0.02, offset=offset), 1e-6, [1, 10], n_max=n_max)
 
 
 def test_convergence_offaxis_checkpoints(geo):
