@@ -319,7 +319,7 @@ _GL_NODES = 64
 #: equal pieces of the integration interval for the value, and for the
 #: coarser rule whose difference from it is the error estimate
 _GL_PIECES, _GL_CHECK_PIECES = 8, 4
-#: families integrated at once: the temporaries are _FAMILY_CHUNK x _GL_NODES
+#: families integrated at once: the work arrays are _FAMILY_CHUNK x _GL_NODES
 _FAMILY_CHUNK = 256
 #: at omega > 0 a family is integrated, as a Taylor series in omega^2, where
 #: rho = |delta_omega| / a (about (omega / Omega_{n,0})^2) is at most this:
@@ -353,34 +353,36 @@ def _family_integrals(beta, x, a1, pieces, plain, moments):
     times (-log t)^k, and is divided by k! at the end.
     """
     nodes, weights = _gauss_legendre()
-    if plain:
-        lo, hi, jac = np.zeros_like(beta), np.ones_like(beta), 1.0
-    else:
-        lo, hi, jac = np.log1p(-beta), np.log1p(beta), 0.5 / beta
+    lo, hi, jac = ((np.zeros_like(beta), np.ones_like(beta), 1.0) if plain
+                   else (np.log1p(-beta), np.log1p(beta), 0.5 / beta))
     width = (hi - lo) / pieces
     # e^v = 1 - beta + 2 beta u: u = (e^v - (1 - beta)) jac, t = (1 + beta - e^v) / (beta (1 + beta + e^v))
     xj = x * jac
     beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
     total = np.zeros((moments, len(beta)))
+    # work arrays written in place: a fresh array per operation faults its pages in anew on each call
+    var, e, log_t, f = np.empty((4, len(beta), _GL_NODES))
     for k in range(pieces):
-        var = lo + col * (k + nodes)
-        if plain:
-            log_t = np.log((1.0 - var) / (1.0 + beta * var))
-            log_f = a1 * log_t - x * var
-        else:
-            e = np.exp(var)
-            log_t = np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e)))
-            log_f = a1 * log_t - xj * (e - (1.0 - beta))
+        np.add(lo, np.multiply(col, k + nodes, out=var), out=var)
+        if plain:  # f = log of the integrand: a1 log t - x v
+            np.add(1.0, np.multiply(beta, var, out=f), out=f)
+            np.log(np.divide(np.subtract(1.0, var, out=log_t), f, out=log_t), out=log_t)
+            np.subtract(np.multiply(a1, log_t, out=f), np.multiply(x, var, out=e), out=f)
+        else:  # a1 log t - xj (e^v - (1 - beta))
+            np.multiply(beta, np.add(1.0 + beta, np.exp(var, out=e), out=f), out=f)
+            np.log(np.divide(np.subtract(1.0 + beta, e, out=log_t), f, out=log_t), out=log_t)
+            np.multiply(xj, np.subtract(e, 1.0 - beta, out=e), out=e)
+            np.subtract(np.multiply(a1, log_t, out=f), e, out=f)
         # the integrand is 1 at u = 0: below e^-700 it is nothing, and exp
         # would take its slow underflow path
-        f = np.exp(np.maximum(log_f, -700.0))
+        np.exp(np.maximum(f, -700.0, out=f), out=f)
         if plain:
-            f /= 1.0 - beta + 2.0 * beta * var
+            f /= np.add(1.0 - beta, np.multiply(2.0 * beta, var, out=e), out=e)
         total[0] += f @ weights
         if moments > 1:
-            minus_log_t = -log_t
+            np.negative(log_t, out=log_t)
             for j in range(1, moments):
-                f *= minus_log_t
+                f *= log_t  # times -log t
                 total[j] += f @ weights
     for j in range(2, moments):
         total[j] /= float(math.factorial(j))

@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mirnoise.errors import BudgetExceededError
 from mirnoise.geometry import FUSED_SILICA, Material, solve_geometry
-from mirnoise.modes import acoustic_waist_sq, fundamental_frequency
+from mirnoise.modes import acoustic_waist_sq, fundamental_frequency, spectrum_constants
 from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters
 from mirnoise.susceptibility import (
     BOLTZMANN,
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
+    _family_integrals,
+    _gauss_legendre,
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
@@ -924,6 +926,55 @@ def test_offaxis_family_integral_branches(geo):
         assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
         # at 1e6 rad/s family n >= 10 is integrated as a Taylor series over the same branch
         assert_family_matches_mpmath(geo, beam, 1e6, 1e-6, n)
+
+
+def _family_integrals_by_expressions(beta, x, a1, pieces, plain, moments):
+    """_family_integrals with a fresh array per operation: the same arithmetic
+    in the same order, written as plain numpy expressions."""
+    nodes, weights = _gauss_legendre()
+    if plain:
+        lo, hi, jac = np.zeros_like(beta), np.ones_like(beta), 1.0
+    else:
+        lo, hi, jac = np.log1p(-beta), np.log1p(beta), 0.5 / beta
+    width = (hi - lo) / pieces
+    xj = x * jac
+    beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
+    total = np.zeros((moments, len(beta)))
+    for k in range(pieces):
+        var = lo + col * (k + nodes)
+        if plain:
+            log_t = np.log((1.0 - var) / (1.0 + beta * var))
+            log_f = a1 * log_t - x * var
+        else:
+            e = np.exp(var)
+            log_t = np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e)))
+            log_f = a1 * log_t - xj * (e - (1.0 - beta))
+        f = np.exp(np.maximum(log_f, -700.0))
+        if plain:
+            f /= 1.0 - beta + 2.0 * beta * var
+        total[0] += f @ weights
+        for j in range(1, moments):
+            f *= -log_t
+            total[j] += f @ weights
+    for j in range(2, moments):
+        total[j] /= float(math.factorial(j))
+    return total * width * jac
+
+
+@pytest.mark.parametrize("plain", [False, True])
+@pytest.mark.parametrize("waist, offset", [(0.001, 0.185), (0.02, 0.03), (0.06, 0.1)])
+def test_family_integrals_in_place_equal_expressions(geo, waist, offset, plain):
+    n = np.arange(1.0, 201.0)
+    beta, _, x, _ = mehler_parameters(geo, BeamSpec(waist=waist, offset=offset), n)
+    if plain:  # the plain-u form's range, beta = 0 included
+        beta = np.linspace(-9e-4, 9e-4, len(n))
+    a1 = n / spectrum_constants(geo)[1]
+    for pieces in (8, 4):
+        for moments in (1, 6):
+            np.testing.assert_array_equal(
+                _family_integrals(beta, x, a1, pieces, plain, moments),
+                _family_integrals_by_expressions(beta, x, a1, pieces, plain, moments),
+            )
 
 
 def assert_family_matches_mpmath(geometry, beam, omega, loss_angle, n):
