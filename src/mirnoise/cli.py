@@ -68,7 +68,7 @@ def _common_flags() -> argparse.ArgumentParser:
     add("--epsilon", type=float, help="relative tail tolerance of the modal sum")
     add("--max-modes", type=int, help="mode budget")
     add("--n-max", type=int, help="cap on the longitudinal index")
-    add("--jobs", type=int, help="concurrent sweep evaluations")
+    add("--jobs", type=int, help="processes for the points of a thickness, waist or mass sweep")
     add("--output", type=str, help="write results to this file instead of stdout")
     add("--config", type=str, help="flat key = value config file")
     return parser

@@ -85,6 +85,11 @@ class SusceptibilityResult:
     contribute the quadrature's error estimate (plus, at omega > 0, the
     Taylor series' bound).  modes_used counts only the shells summed, so it
     is 0 at omega = 0.
+
+    converged means tail_bound <= epsilon / (1 + epsilon), that is, the
+    absolute tail is at most epsilon (|value| - tail), the smallest |chi|
+    the tail allows: where the tail holds, |value - chi| <= epsilon |chi|,
+    also where the sum passes near 0 and |value| exceeds |chi|.
     """
 
     value: complex
@@ -124,13 +129,15 @@ class OpticalMassApprox:
 def _result(total, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy):
     """The result of a modal sum; tail_abs = inf marks a sum cut short."""
     tail_rel = tail_abs / (abs(total) if total else 1.0)
+    # tail_abs <= epsilon (|total| - tail_abs): the error is then at most
+    # epsilon times the smallest |chi| that the tail allows
     return SusceptibilityResult(
         value=complex(total),
         frequency=omega,
         modes_used=modes_used,
         tail_bound=tail_rel,
         tail_is_estimate=tail_is_estimate,
-        converged=tail_rel <= policy.epsilon,
+        converged=tail_rel <= policy.epsilon / (1.0 + policy.epsilon),
         per_n=tuple(per_n),
     )
 
@@ -342,7 +349,8 @@ def _gauss_legendre():
 
 def _family_integrals(beta, x, a1, pieces, plain, moments):
     """int_0^1 e^(-x u) t^a1 (-log t)^k / k! du / (1 - beta + 2 beta u),
-    t = (1 - u)/(1 + beta u), per family (column) for k < moments (row), by the
+    t = (1 - u)/(1 + beta u), per beam (row of x), family (column of x) and
+    k < moments, as a (beams x moments x families) array, by the
     Gauss-Legendre rule on `pieces` equal pieces.
 
     The variable is v = log(1 - beta + 2 beta u), so du / (1 - beta + 2 beta u)
@@ -350,49 +358,59 @@ def _family_integrals(beta, x, a1, pieces, plain, moments):
     (beta -> 1).  Where e^v - (1 - beta) would cancel (plain, |beta| < 1e-3)
     the variable is u itself.  The integrand is one exp of its log, which
     stays in range however large x and a1 are; row k takes each node's value
-    times (-log t)^k, and is divided by k! at the end.
+    times (-log t)^k, and is divided by k! at the end.  Only x depends on a
+    beam's offset: each piece forms the offset-free node arrays once, and a
+    beam then costs one multiply, subtract, clamp and exp, and the matmuls.
     """
     nodes, weights = _gauss_legendre()
     lo, hi, jac = ((np.zeros_like(beta), np.ones_like(beta), 1.0) if plain
                    else (np.log1p(-beta), np.log1p(beta), 0.5 / beta))
     width = (hi - lo) / pieces
     # e^v = 1 - beta + 2 beta u: u = (e^v - (1 - beta)) jac, t = (1 + beta - e^v) / (beta (1 + beta + e^v))
-    xj = x * jac
-    beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
-    total = np.zeros((moments, len(beta)))
+    xj = (x * jac)[:, :, None]
+    beta, a1, lo, col = (a[:, None] for a in (beta, a1, lo, width))
+    total = np.zeros((len(xj), moments, len(beta)))
     # work arrays written in place: a fresh array per operation faults its pages in anew on each call
-    var, e, log_t, f = np.empty((4, len(beta), _GL_NODES))
+    var, work, log_t, f = np.empty((4, len(beta), _GL_NODES))
+    # the log of the integrand is a1 log t - xj u, with u the offset-free part:
+    # v itself if plain (which then divides by 1 - beta + 2 beta u, in work),
+    # else e^v - (1 - beta), in work, after which var is free for a1 log t
+    u, a1_log_t = (var, np.empty_like(var)) if plain else (work, var)
     for k in range(pieces):
         np.add(lo, np.multiply(col, k + nodes, out=var), out=var)
-        if plain:  # f = log of the integrand: a1 log t - x v
+        if plain:
             np.add(1.0, np.multiply(beta, var, out=f), out=f)
             np.log(np.divide(np.subtract(1.0, var, out=log_t), f, out=log_t), out=log_t)
-            np.subtract(np.multiply(a1, log_t, out=f), np.multiply(x, var, out=e), out=f)
-        else:  # a1 log t - xj (e^v - (1 - beta))
-            np.multiply(beta, np.add(1.0 + beta, np.exp(var, out=e), out=f), out=f)
-            np.log(np.divide(np.subtract(1.0 + beta, e, out=log_t), f, out=log_t), out=log_t)
-            np.multiply(xj, np.subtract(e, 1.0 - beta, out=e), out=e)
-            np.subtract(np.multiply(a1, log_t, out=f), e, out=f)
-        # the integrand is 1 at u = 0: below e^-700 it is nothing, and exp
-        # would take its slow underflow path
-        np.exp(np.maximum(f, -700.0, out=f), out=f)
-        if plain:
-            f /= np.add(1.0 - beta, np.multiply(2.0 * beta, var, out=e), out=e)
-        total[0] += f @ weights
+            np.add(1.0 - beta, np.multiply(2.0 * beta, var, out=work), out=work)
+        else:
+            np.multiply(beta, np.add(1.0 + beta, np.exp(var, out=work), out=f), out=f)
+            np.log(np.divide(np.subtract(1.0 + beta, work, out=log_t), f, out=log_t), out=log_t)
+            np.subtract(work, 1.0 - beta, out=work)
+        np.multiply(a1, log_t, out=a1_log_t)
         if moments > 1:
-            np.negative(log_t, out=log_t)
+            np.negative(log_t, out=log_t)  # -log t, for the moment rows
+        for xj_b, total_b in zip(xj, total):
+            np.subtract(a1_log_t, np.multiply(xj_b, u, out=f), out=f)
+            # the integrand is 1 at u = 0: below e^-700 it is nothing, and exp
+            # would take its slow underflow path
+            np.exp(np.maximum(f, -700.0, out=f), out=f)
+            if plain:
+                f /= work
+            total_b[0] += f @ weights
             for j in range(1, moments):
                 f *= log_t  # times -log t
-                total[j] += f @ weights
+                total_b[j] += f @ weights
     for j in range(2, moments):
-        total[j] /= float(math.factorial(j))
+        total[:, j] /= float(math.factorial(j))
     return total * width * jac
 
 
-def _offaxis_integrals(geometry, beam, om_m2, curv, n, moments):
-    """Each family's shell-sum integrals (_family_integrals, rows k < moments)
-    by the rules on _GL_PIECES and on _GL_CHECK_PIECES pieces, and the scale
-    c0 / (Omega_M^2 curv n) that makes row 0 the family's omega = 0 sum.
+def _offaxis_integrals(geometry, beams, om_m2, curv, n, moments):
+    """Each beam's and family's shell-sum integrals (_family_integrals, a
+    (beams x moments x families) array) by the rules on _GL_PIECES and on
+    _GL_CHECK_PIECES pieces, and the scale c0 / (Omega_M^2 curv n) that makes
+    moment 0 the family's omega = 0 sum.  The beams share one waist, so only
+    x differs between them.
 
     With Omega_s^2 = Omega_M^2 curv n (s + a), a = 1 + n/curv, and
     1/(s + a)^(k+1) = int_0^1 t^(s+a-1) (-log t)^k / k! dt, the moment
@@ -402,16 +420,18 @@ def _offaxis_integrals(geometry, beam, om_m2, curv, n, moments):
 
         int_0^1 e^(-x u) ((1-u)/(1+beta u))^(a-1) (-log t)^k / k! du / (1 - beta + 2 beta u).
     """
-    beta, _, x, c0 = mehler_parameters(geometry, beam, n)
+    params = [mehler_parameters(geometry, beam, n) for beam in beams]
+    beta, _, _, c0 = params[0]
+    x = np.array([p[2] for p in params])
     a1 = n / curv
-    value, check = np.empty((moments, len(n))), np.empty((moments, len(n)))
+    value, check = np.empty((2, len(beams), moments, len(n)))
     plain = np.abs(beta) < 1e-3
     for form in (True, False):
         families = np.flatnonzero(plain == form)
         for lo in range(0, len(families), _FAMILY_CHUNK):
             f = families[lo : lo + _FAMILY_CHUNK]
-            value[:, f] = _family_integrals(beta[f], x[f], a1[f], _GL_PIECES, form, moments)
-            check[:, f] = _family_integrals(beta[f], x[f], a1[f], _GL_CHECK_PIECES, form, moments)
+            value[:, :, f] = _family_integrals(beta[f], x[:, f], a1[f], _GL_PIECES, form, moments)
+            check[:, :, f] = _family_integrals(beta[f], x[:, f], a1[f], _GL_CHECK_PIECES, form, moments)
     return value, check, c0 / (om_m2 * curv * n)
 
 
@@ -442,6 +462,27 @@ def _taylor_sums(value, check, scale, shift, phi, rho, terms):
     # scale / (1 - i phi) = scale cos2 (1 + i phi)
     re_s, im_s = scale * cos2, scale * cos2 * phi[:, None]
     return re_s * re - im_s * im, re_s * im + im_s * re, scale * np.sqrt(cos2) * err
+
+
+def _chi0_offaxis(value, check, scale, omega, policy):
+    """The omega = 0 result of one beam from its families' moments M_0 by the
+    two rules (_offaxis_integrals): |I_8 - I_4| is each family's error
+    estimate."""
+    sums, errors = scale * value, scale * np.abs(value - check)
+    return _result(np.add.reduce(sums).item(), omega, 0, np.add.reduce(errors).item(), True, sums.tolist(), policy)
+
+
+def _chi0_offsets(geometry, waist, offsets, policy):
+    """effective_susceptibility at omega = 0 of a beam of the given waist at
+    each offset (all > 0, beams on the mirror), from one quadrature pass:
+    only x = 4 d^2 / (w0^2 + 2 w_n^2) depends on the offset, so the pass forms
+    the rest of each node's integrand once for every offset.  Each result is
+    == to its one-beam call."""
+    om_m2, curv = spectrum_constants(geometry)
+    n = np.arange(1.0, policy.n_max + 1.0)
+    beams = [BeamSpec(waist=waist, offset=d) for d in offsets]
+    value, check, scale = _offaxis_integrals(geometry, beams, om_m2, curv, n, 1)
+    return [_chi0_offaxis(v[0], c[0], scale, 0.0, policy) for v, c in zip(value, check)]
 
 
 def _chi_offaxis(geometry, beam, omegas, phis, policy):
@@ -481,14 +522,11 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     rho = np.clip(rho, np.finfo(float).tiny, _TAYLOR_RHO)
     terms = np.where(taylor, np.ceil(np.log(_TAYLOR_TARGET * (1.0 - rho)) / np.log(rho)), 0.0)
     if len(rows) < len(omegas) or taylor.any():
-        value, check, scale = _offaxis_integrals(geometry, beam, om_m2, curv, n, int(max(terms.max(initial=0.0), 1.0)))
-    if len(rows) < len(omegas):
-        # omega = 0: each family's moment M_0, and |I_8 - I_4| as its error estimate
-        sums, errors = scale * value[0], scale * np.abs(value[0] - check[0])
-        total, tail = np.add.reduce(sums).item(), np.add.reduce(errors).item()
-        for k, omega in enumerate(omegas):
-            if omega == 0.0:
-                results[k] = _result(total, omega, 0, tail, True, sums.tolist(), policy)
+        moments = int(max(terms.max(initial=0.0), 1.0))
+        (value,), (check,), scale = _offaxis_integrals(geometry, [beam], om_m2, curv, n, moments)
+    for k, omega in enumerate(omegas):
+        if omega == 0.0:
+            results[k] = _chi0_offaxis(value[0], check[0], scale, omega, policy)
     if not rows:
         return results
 

@@ -25,6 +25,7 @@ from .susceptibility import (
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
+    _chi0_offsets,
     check_count,
     check_temperature,
     effective_susceptibility,
@@ -72,6 +73,7 @@ class SweepSpec:
                 raise ValueError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        check_count("points", self.points)
         if self.points < 2:
             raise ValueError("a sweep needs at least 2 points")
         if self.parameter == "offset" and self.lo < 0:
@@ -111,41 +113,54 @@ def validate_sweep(spec: SweepSpec) -> None:
         spec.operating_point(value)
 
 
+def _row(value: float, geometry: PlanoConvexGeometry, res: SusceptibilityResult, seconds: float) -> SweepRow:
+    return SweepRow(
+        value=value,
+        chi0=res.value.real,
+        modes_used=res.modes_used,
+        tail_bound=res.tail_bound,
+        paraxial_warning=geometry.paraxial_warning,
+        converged=res.converged,
+        seconds=seconds,
+    )
+
+
 def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
     start = time.perf_counter()
-    value = float(value)
     geometry, beam = spec.operating_point(value)
     try:
         res = effective_susceptibility(geometry, beam, 0.0, spec.loss_angle, spec.policy)
-        chi0 = res.value.real
-        modes_used = res.modes_used
-        tail = res.tail_bound
-        converged = res.converged
     except BudgetExceededError as err:
-        partial: SusceptibilityResult = err.partial
-        chi0 = partial.value.real
-        modes_used = partial.modes_used
-        tail = partial.tail_bound
-        converged = False
-    return SweepRow(
-        value=value,
-        chi0=chi0,
-        modes_used=modes_used,
-        tail_bound=tail,
-        paraxial_warning=geometry.paraxial_warning,
-        converged=converged,
-        seconds=time.perf_counter() - start,
-    )
+        res = err.partial  # its tail_bound is inf: unconverged
+    return _row(value, geometry, res, time.perf_counter() - start)
+
+
+def _offset_sweep(spec: SweepSpec, values: list[float]) -> list[SweepRow]:
+    """An offset sweep's rows: d = 0 on the centered path, every other offset
+    from one _chi0_offsets call, whose quadrature pass serves them all."""
+    start = time.perf_counter()
+    offsets = [v for v in values if v != 0.0]
+    geometry, _ = spec.operating_point(offsets[0])  # one geometry for every offset
+    results = iter(_chi0_offsets(geometry, spec.waist, offsets, spec.policy))
+    seconds = (time.perf_counter() - start) / len(offsets)
+    return [_sweep_point(spec, v) if v == 0.0 else _row(v, geometry, next(results), seconds) for v in values]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Evaluate chi_eff[0] across the sweep; rows come back in sweep order.
 
     Budget-exceeded points are recorded as unconverged rows and the sweep
-    continues; an invalid spec aborts before any point is computed.
+    continues; an invalid spec aborts before any point is computed.  The
+    points of other parameters run one by one, in jobs processes if jobs > 1,
+    and each row's seconds is the wall time of its own point.  An offset sweep
+    runs in this process whatever jobs is: its non-zero offsets share one
+    quadrature pass, and each of their rows' seconds is an equal share of
+    that pass's wall time.  Every row is == to its one-point computation.
     """
     validate_sweep(spec)
-    values = list(spec.values())
+    values = [float(v) for v in spec.values()]
+    if spec.parameter == "offset":
+        return _offset_sweep(spec, values)
     if jobs <= 1:
         return [_sweep_point(spec, v) for v in values]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -271,8 +286,10 @@ def convergence_study(
     """
     check_count("n_max", n_max)
     checkpoints = list(checkpoints)
-    if not checkpoints or any(c < 1 for c in checkpoints):
-        raise ValueError(f"checkpoints must be one or more positive counts, got {checkpoints}")
+    if not checkpoints:
+        raise ValueError("checkpoints must be one or more positive counts, got none")
+    for c in checkpoints:
+        check_count("checkpoint", c)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     check_beam_on_mirror(beam, geometry)

@@ -195,6 +195,8 @@ GOLDEN_RUNS = {
         "sweep", "--param", "offset", "--waist", "0.055", "--lo", "0.035", "--hi", "0.185",
         "--points", "3",
     ),
+    # 23 offsets from d = 0: the centered path, then one quadrature pass for the other 22
+    "sweep_offset_default.csv": ("sweep", "--param", "offset"),
     "converge_offset.csv": ("converge", "--offset", "0.025"),
     "sweep_thickness.csv": ("sweep", "--param", "thickness"),
     "sweep_waist.csv": ("sweep", "--param", "waist"),

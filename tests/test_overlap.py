@@ -466,6 +466,36 @@ def test_shell_traces_match_mehler_near_beta_minus_one(geo):
         assert got == pytest.approx(_mehler_generating_function(geo, beam, n, t), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "waist, offset, families",
+    [
+        (0.001, 0.185, (150, 170, 190, 197, 200)),  # scaled columns: C underflows from family 141 on
+        (0.001, 0.185, tuple(range(1, 13))),  # as many columns as the convergence study takes to 60,000 shells
+        (0.055, 0.035, (50, 51)),  # beta < 0
+        (0.02, 0.0, (1, 7)),  # mu = 0: the odd shells are exactly 0
+    ],
+)
+def test_shell_trace_table_narrow_growth_equals_numpy_step(geo, waist, offset, families, monkeypatch):
+    # a growth of up to _SCALAR_COLUMNS columns runs in Python floats, with
+    # the numpy step's operations in its order: the traces are ==
+    assert len(families) <= ShellTraceTable._SCALAR_COLUMNS
+    beam = BeamSpec(waist=waist, offset=offset)
+    scalar_growths = []
+    grow_scalar = ShellTraceTable._grow_scalar
+    monkeypatch.setattr(ShellTraceTable, "_grow_scalar",
+                        lambda self, *a: scalar_growths.append(len(self._families)) or grow_scalar(self, *a))
+    for width in range(1, len(families) + 1):
+        kept = families[-width:]
+        scalar, numpy_step = ShellTraceTable(geo, beam, range(1, 201)), ShellTraceTable(geo, beam, range(1, 201))
+        numpy_step._SCALAR_COLUMNS = 0  # every growth by numpy steps
+        assert np.array_equal(scalar.block(1, 64), numpy_step.block(1, 64))  # all 200: numpy on both
+        for smax in (65, 1000, 4097):
+            assert np.array_equal(scalar.block(kept, smax), numpy_step.block(kept, smax))
+    assert scalar_growths == [w for w in range(1, len(families) + 1) for _ in range(3)]
+    if offset == 0.185 and families[0] > 141:
+        assert scalar._unscale is not None and (scalar._unscale < 1.0).all()
+
+
 def test_shell_traces_far_off_axis_stay_finite(geo):
     # at w0 1 mm and d 18.5 cm, T_0 = C of the highest families underflows
     # (x = 4 d^2 / (w0^2 + 2 w_n^2) passes 700) while their traces peak near 100

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirnoise import sweeps
+from mirnoise import susceptibility, sweeps
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import acoustic_waist_sq, fundamental_frequency
-from mirnoise.overlap import BeamSpec, ShellTraceTable
-from mirnoise.susceptibility import TruncationPolicy, effective_susceptibility
+from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters
+from mirnoise.susceptibility import TruncationPolicy, _chi0_offsets, effective_susceptibility
 from mirnoise.sweeps import (
     CSV_HEADER,
     CompareReport,
@@ -43,6 +43,10 @@ def test_sweep_spec_validation():
             SweepSpec(parameter="offset", lo=lo, hi=hi, points=5)
     with pytest.raises(ValueError, match="finite"):  # the swept parameter's fixed value too
         SweepSpec(parameter="mass", lo=5.0, hi=10.0, points=2, mass=math.nan)
+    for points in (2.5, 3.0, "3"):  # a count is an integer
+        with pytest.raises(ValueError, match="points must be an integer count"):
+            SweepSpec(parameter="waist", lo=0.01, hi=0.06, points=points)
+    assert len(SweepSpec(parameter="waist", lo=0.01, hi=0.06, points=np.int64(3)).values()) == 3
 
 
 def test_invalid_point_aborts_before_computation():
@@ -77,6 +81,37 @@ def test_offset_sweep_nonincreasing(thickness, waist):
                      waist=waist)
     chi = [r.chi0 for r in run_sweep(spec)]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(chi, chi[1:]))
+
+
+@pytest.mark.parametrize("waist", [0.02, 0.055, "plain", 0.001])
+def test_offset_sweep_rows_equal_single_point_calls(geo, waist, monkeypatch):
+    if waist == "plain":  # w0^2 = 2 w_50^2: beta_50 = 0, and its neighbours take the plain-u form
+        waist = math.sqrt(2.0 * acoustic_waist_sq(geo, 50.0))
+        beta = mehler_parameters(geo, BeamSpec(waist=waist), np.arange(1.0, 201.0))[0]
+        assert 0 < np.count_nonzero(np.abs(beta) < 1e-3) < 200
+    spec = SweepSpec(parameter="offset", lo=0.0, hi=min(0.22, 0.95 * geo.diameter / 2.0 - waist), points=7,
+                     waist=waist)
+    calls = []
+    integrals = susceptibility._offaxis_integrals
+    monkeypatch.setattr(susceptibility, "_offaxis_integrals", lambda *a: calls.append(a) or integrals(*a))
+    rows = run_sweep(spec)
+    assert len(calls) == 1 and len(calls[0][1]) == 6  # one quadrature pass, every offset but d = 0
+    monkeypatch.undo()
+    offsets = [row.value for row in rows]
+    assert offsets[0] == 0.0 and rows[0].modes_used > 0  # the centered path
+    batch = [None] + _chi0_offsets(geo, waist, offsets[1:], spec.policy)
+    for row, d, res in zip(rows, offsets, batch):
+        one = effective_susceptibility(*spec.operating_point(d), 0.0, spec.loss_angle, spec.policy)
+        if res is not None:
+            assert res == one  # value, tail_bound, per_n, converged and the rest
+        assert (row.chi0, row.modes_used, row.tail_bound, row.converged) == (
+            one.value.real, one.modes_used, one.tail_bound, one.converged)
+
+
+def test_offset_sweep_row_seconds_share_the_pass():
+    rows = run_sweep(SweepSpec(parameter="offset", lo=0.0, hi=0.2, points=5))
+    assert all(row.seconds > 0.0 for row in rows)
+    assert len({row.seconds for row in rows[1:]}) == 1  # an equal share each
 
 
 def test_mass_sweep_rows_flag_paraxiality():
@@ -140,6 +175,13 @@ def test_convergence_requires_increasing_checkpoints(geo):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [0, 10])
     with pytest.raises(ValueError):
         convergence_study(geo, BeamSpec(waist=0.02), 1e-6, [])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03])
+@pytest.mark.parametrize("checkpoints", [[1.5, 10.2], [1, 10.0], [np.float64(5)]])
+def test_convergence_study_rejects_fractional_checkpoints(geo, offset, checkpoints):
+    with pytest.raises(ValueError, match="checkpoint must be an integer count"):
+        convergence_study(geo, BeamSpec(waist=0.02, offset=offset), 1e-6, checkpoints)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.03])
