@@ -117,6 +117,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             merged[key] = _coerce(key, config[key])
         else:
             merged[key] = default
+    check_temperature(merged["temperature"])
     return merged
 
 
@@ -142,7 +143,6 @@ def _metres(settings: dict, offset: float) -> float:
 
 
 def _setup(settings: dict):
-    check_temperature(settings["temperature"])
     geometry = solve_geometry(settings["mass"], settings["thickness"], _material(settings))
     beam = BeamSpec(waist=settings["waist"], offset=_metres(settings, settings["offset"]))
     return geometry, beam, _policy(settings)
@@ -268,8 +268,6 @@ def _cmd_sweep(args) -> int:
         thickness=settings["thickness"],
         waist=settings["waist"],
         offset=_metres(settings, settings["offset"]),
-        temperature=settings["temperature"],
-        loss_angle=settings["loss_angle"],
         material=_material(settings),
         policy=_policy(settings),
     )

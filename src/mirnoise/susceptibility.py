@@ -48,7 +48,9 @@ class TruncationPolicy:
     """Controls how the modal sum is truncated.
 
     The model is the infinite sum over every mode; these settings only say
-    where the computation stops.
+    where the computation stops.  Where a sum of blocks or shells is cut, its
+    bound divides what is left by the smallest denominator left, exact at
+    every loss angle (_least_denominator).
 
     epsilon    relative tail tolerance for the reported susceptibility (for
                the integrated off-axis families: for their error estimate;
@@ -142,28 +144,22 @@ def _result(total, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy)
     )
 
 
-def _min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
-    """min over shells s >= shell_start of |Omega_{n,s}^2 (1 - i phi) - omega^2|,
-    elementwise over the families n.
+def _least_denominator(om_m2, curv, n, omega, phi):
+    """(s_least, least) of the families n at omega, elementwise over arrays
+    that broadcast: the smallest |Omega_s^2 (1 - i phi) - omega^2| over the
+    shells s >= s0 is least where s0 <= s_least, else that of shell s0.
 
-    Omega^2 grows linearly in s, so the minimum sits at shell_start or at a
-    shell either side of the crossing with omega^2.
+    |den|^2 = (Omega_s^2 - omega^2)^2 + (phi Omega_s^2)^2 is a quadratic in
+    Omega_s^2, symmetric about its minimum at omega^2 / (1 + phi^2), and
+    Omega_s^2 is linear in s: the minimum sits at a real shell s*, and over
+    the shells at floor(s*) or ceil(s*) (both clamped to shell 0).  s_least
+    is floor(s*); np.hypot is Python's complex abs, bit for bit.
     """
     om2 = omega * omega
-    s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
-    s = np.maximum([shell_start, np.floor(s_cross), np.ceil(s_cross)], shell_start)
-    w2 = shell_frequency_sq(om_m2, curv, n, s)
-    return np.hypot(w2 - om2, -w2 * phi).min(axis=0)
-
-
-def _min_abs_denominator_one(om_m2, n, curv, shell_start, omega, phi):
-    """_min_abs_denominator for the one family n, in Python floats: on a single
-    family they cost a fifth of numpy's calls."""
-    om2 = omega * omega
-    s_cross = (om2 / om_m2 - n * n) / (curv * n) - 1.0
-    shells = (shell_start, max(math.floor(s_cross), shell_start), max(math.ceil(s_cross), shell_start))
-    w2 = [shell_frequency_sq(om_m2, curv, n, s) for s in shells]
-    return min(abs(complex(w - om2, -w * phi)) for w in w2)
+    s_star = (om2 / ((1.0 + phi * phi) * om_m2) - n * n) / (curv * n) - 1.0
+    s_least = np.floor(s_star)
+    w2 = shell_frequency_sq(om_m2, curv, n, np.maximum([s_least, np.ceil(s_star)], 0.0))
+    return s_least, np.hypot(w2 - om2, -w2 * phi).min(axis=0)
 
 
 def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
@@ -176,18 +172,6 @@ def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     if omega == 0.0:
         return (ovl2 / (mass * om2)).sum(axis=-1)
     return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1)
-
-
-def _centered_tail(om_m2, curv, n, mass, q2, ovl2_next, p_next, omega, phi, min_abs_den=_min_abs_denominator):
-    """Bound on the terms p >= p_next of the families n: the overlaps decay as
-    q^(2p) and no denominator falls below the smallest one left, which
-    min_abs_den finds at omega > 0.  A degenerate beam (w0 -> 0, q2 = 1) has
-    no geometric decay and an infinite tail."""
-    if omega == 0.0:
-        min_den = shell_frequency_sq(om_m2, curv, n, 2.0 * p_next)
-    else:
-        min_den = min_abs_den(om_m2, n, curv, 2 * p_next, omega, phi)
-    return ovl2_next / ((1.0 - q2) * mass * min_den)
 
 
 @np.errstate(divide="ignore")  # the tail of a degenerate beam is inf
@@ -216,7 +200,14 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                            0, first, omega, phi)
     # Python's scalar pow: numpy's vector one can differ from it in the last bit
     head *= [q2_n**first for q2_n in q2.tolist()]
-    tails = _centered_tail(om_m2, curv, n, mass, q2, head, np.full(len(n), first), omega, phi)
+    # no denominator past a block falls below the smallest one left: at omega = 0
+    # the next shell's Omega^2, else _least_denominator's rule
+    den = shell_frequency_sq(om_m2, curv, n, 2.0 * first)
+    if omega > 0.0:
+        s_least, least = _least_denominator(om_m2, curv, n, omega, phi)
+        den = np.where(2 * first <= s_least, least, np.hypot(den - omega * omega, -den * phi))
+    # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
+    tails = head / ((1.0 - q2) * mass * den)
 
     total, used, k, walk = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0, 0, True
     while k < len(n):
@@ -252,8 +243,10 @@ def _chi_centered(geometry, beam, omega, phi, policy):
             s_n += block.item()
             head[k] *= q2_k.item() ** count
             p += count
-            tail_n = _centered_tail(om_m2, curv, n_k, mass_k, q2_k, head[k].item(), p, omega, phi,
-                                    _min_abs_denominator_one)
+            den = shell_frequency_sq(om_m2, curv, n_k, 2.0 * p)
+            if omega > 0.0:
+                den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
+            tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
         sums[k], tails[k] = s_n, tail_n
         total, used, k = total + s_n, used + p, k + 1
         # walk on in vector steps once a family needs no further block; in a
@@ -282,11 +275,16 @@ def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, polic
     the remainder floored for rounding.  Levels take 64 shells, then twice as
     many; a row whose bound at its level's end meets its target keeps the
     shortest prefix whose bound does.  At SHELL_CAP the rest keep every shell,
-    with the bound there as their tail.  The few numbers per row are Python
-    scalars, which cost less than numpy calls on short rows.
+    with the bound there as their tail.  Within a level the smallest
+    denominator is a reversed running minimum of numpy's |den|; past it each
+    row looks up _least_denominator's rule, taken once per call, or takes
+    hypot at shell smax + 1 (numpy's complex abs can differ from hypot in the
+    last bit).  The few numbers per row are Python scalars, which cost less
+    than numpy calls on short rows.
     """
     n, found = families[0], [None] * len(totals)
     todo, smax, w2 = list(range(len(totals))), 64, omegas * omegas
+    s_least, least = (a.tolist() for a in _least_denominator(om_m2, curv, n, omegas, phi))
     while todo:
         smax = min(smax, SHELL_CAP)
         traces = table.block(families, smax)[:, 0]
@@ -297,8 +295,9 @@ def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, polic
         targets = [policy.epsilon * abs(totals[k] + s) / (2.0 * policy.n_max) for k, s in zip(todo, sums)]
         # the traces left after each shell, and the smallest |denominator| past the level
         left = np.maximum(g1 - np.cumsum(traces), max(_SUM_RULE_FLOOR, (smax + 1) * 2.0**-53) * g1)
-        beyond = [_min_abs_denominator_one(om_m2, n, curv, smax + 1, omega, p)
-                  for omega, p in zip(omegas.tolist(), phi.tolist())]
+        w2_next = shell_frequency_sq(om_m2, curv, n, smax + 1.0)
+        beyond = [least[r] if smax + 1 <= s_least[r] else abs(complex(w2_next - om2, -w2_next * p))
+                  for r, om2, p in zip(todo, w2.tolist(), phi.tolist())]
         left_end = left[-1].item()
         done = [smax >= SHELL_CAP or left_end / b <= t for b, t in zip(beyond, targets)]
         fin = [i for i, d in enumerate(done) if d]
@@ -316,7 +315,7 @@ def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, polic
                 break
             still = [i for i, d in enumerate(done) if not d]
             todo = [todo[i] for i in still]
-            omegas, w2, phi = omegas[still], w2[still], phi[still]
+            w2, phi = w2[still], phi[still]
         smax *= 2
     return found
 
@@ -647,23 +646,19 @@ def displacement_noise_spectrum(
     temperature: float,
     loss_angle: LossAngle | None = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    chi_zero: SusceptibilityResult | None = None,
 ) -> SpectrumPoint:
     """Displacement noise at omega: exact branch and low-frequency approximation.
 
-    See spectrum_point.  Pass chi_zero to reuse a previously computed
-    zero-frequency sum across a frequency grid; without it both sums come
-    from one grid call, which builds an offset beam's shell traces once.
+    See spectrum_point.  Both sums come from one grid call, which builds an
+    offset beam's shell traces once; over a frequency grid,
+    effective_susceptibility_grid and spectrum_point share one chi_eff[0].
     """
     if omega <= 0:
         raise ValueError("the noise spectrum is defined for omega > 0")
     check_temperature(temperature)
     if loss_angle is None:
         loss_angle = geometry.material.loss_angle
-    if chi_zero is None:
-        chi, chi_zero = effective_susceptibility_grid(geometry, beam, [omega, 0.0], loss_angle, policy)
-    else:
-        chi = effective_susceptibility(geometry, beam, omega, loss_angle, policy)
+    chi, chi_zero = effective_susceptibility_grid(geometry, beam, [omega, 0.0], loss_angle, policy)
     return spectrum_point(omega, temperature, loss_angle, chi.value, chi_zero.value)
 
 

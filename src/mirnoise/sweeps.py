@@ -11,7 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .susceptibility import (
     TruncationPolicy,
     _chi0_offsets,
     check_count,
-    check_temperature,
     effective_susceptibility,
 )
 
@@ -60,8 +59,6 @@ class SweepSpec:
     thickness: float = 0.07
     waist: float = 0.02
     offset: float = 0.0
-    temperature: float = 300.0
-    loss_angle: float = 1e-6
     material: Material = FUSED_SILICA
     policy: TruncationPolicy = DEFAULT_POLICY
 
@@ -78,7 +75,6 @@ class SweepSpec:
             raise ValueError("a sweep needs at least 2 points")
         if self.parameter == "offset" and self.lo < 0:
             raise ValueError("offsets are non-negative")
-        check_temperature(self.temperature)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
@@ -89,8 +85,7 @@ class SweepSpec:
         thickness = value if self.parameter == "thickness" else self.thickness
         waist = value if self.parameter == "waist" else self.waist
         offset = value if self.parameter == "offset" else self.offset
-        mat = replace(self.material, loss_angle=self.loss_angle)
-        geometry = solve_geometry(mass, thickness, mat)
+        geometry = solve_geometry(mass, thickness, self.material)
         beam = BeamSpec(waist=waist, offset=offset)
         check_beam_on_mirror(beam, geometry)
         return geometry, beam
@@ -129,7 +124,7 @@ def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
     start = time.perf_counter()
     geometry, beam = spec.operating_point(value)
     try:
-        res = effective_susceptibility(geometry, beam, 0.0, spec.loss_angle, spec.policy)
+        res = effective_susceptibility(geometry, beam, policy=spec.policy)
     except BudgetExceededError as err:
         res = err.partial  # its tail_bound is inf: unconverged
     return _row(value, geometry, res, time.perf_counter() - start)

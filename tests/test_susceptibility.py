@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mirnoise.errors import BudgetExceededError
 from mirnoise.geometry import FUSED_SILICA, Material, solve_geometry
-from mirnoise.modes import acoustic_waist_sq, fundamental_frequency, spectrum_constants
+from mirnoise.modes import acoustic_waist_sq, fundamental_frequency, shell_frequency_sq, spectrum_constants
 from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters
 from mirnoise.susceptibility import (
     BOLTZMANN,
@@ -17,6 +17,7 @@ from mirnoise.susceptibility import (
     TruncationPolicy,
     _family_integrals,
     _gauss_legendre,
+    _least_denominator,
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
@@ -310,24 +311,48 @@ def test_noise_spectrum_equals_two_separate_sums(geo, offset):
     assert displacement_noise_spectrum(geo, beam, om, 300.0, 1e-6) == expected
 
 
+#: where the least denominator's real shell s* falls: below shell 0, on and
+#: between shells, and far up the family
+LEAST_SHELLS = (-1.5, -0.5, 0.0, 0.2, 0.5, 3.0, 3.49, 17.5, 64.3, 150.8)
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
+def test_least_denominator_is_the_brute_force_minimum(thickness):
+    # min over every shell s >= s0 of |Omega_s^2 (1 - i phi) - omega^2|, for
+    # each s0 from 0 to past s*, is least where s0 <= s_least, else shell s0's
+    om_m2, curv = spectrum_constants(solve_geometry(20.0, thickness, FUSED_SILICA))
+    for n in (1, 2, 7, 50):
+        for phi in (1e-6, 0.1, 0.3, 0.5):
+            # omega^2 = (1 + phi^2) Omega^2 at the shells s*: across the first resonances
+            omegas = np.sqrt((1.0 + phi * phi) * shell_frequency_sq(om_m2, curv, n, np.array(LEAST_SHELLS)))
+            s_least, least = _least_denominator(om_m2, curv, n, omegas, np.full(len(omegas), phi))
+            shells = np.arange(2000.0)
+            w2 = shell_frequency_sq(om_m2, curv, n, shells)
+            for omega, s_l, low in zip(omegas, s_least, least):
+                den = np.hypot(w2 - omega * omega, -w2 * phi)
+                assert den[-1] > den.min()  # the minimum lies well inside the shells tried
+                brute = np.minimum.accumulate(den[::-1])[::-1]  # min over s >= s0, per s0
+                s0 = np.arange(int(max(s_l, 0.0)) + 3)
+                assert np.array_equal(np.where(s0 <= s_l, low, den[s0]), brute[s0])
+
+
 # ---------------------------------------------------------------------------
 # Oracle for the centered modal sum: the per-family implementation that the
-# all-families block sum replaced, kept verbatim.  The library must reproduce
-# its results, budget errors and partial results exactly (==, not approx).
+# all-families block sum replaced, kept verbatim but for its least
+# denominator, which sits at omega^2 / (1 + phi^2) and not at the crossing
+# with omega^2.  The library must reproduce its results, budget errors and
+# partial results exactly (==, not approx).
 # ---------------------------------------------------------------------------
 
 
 def _oracle_min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
+    # |den|^2 is a quadratic in Omega_s^2, least at omega^2 / (1 + phi^2)
     def w2(s):
         return om_m2 * (n * n + curv * n * (s + 1.0))
 
     om2 = omega * omega
-    candidates = [shell_start]
-    if w2(shell_start) < om2:
-        s_cross = ((om2 / om_m2 - n * n) / (curv * n) - 1.0)
-        for s in (math.floor(s_cross), math.ceil(s_cross)):
-            if s >= shell_start:
-                candidates.append(s)
+    s_star = (om2 / ((1.0 + phi * phi) * om_m2) - n * n) / (curv * n) - 1.0
+    candidates = [shell_start] + [s for s in (math.floor(s_star), math.ceil(s_star)) if s >= shell_start]
     return min(abs(complex(w2(s) - om2, -w2(s) * phi)) for s in candidates)
 
 
@@ -427,8 +452,9 @@ def assert_matches_oracle(geometry, beam, omega, policy, loss_angle=1e-6):
     assert got == expected
 
 
-#: across the fundamental resonance of the 7 cm substrate (about 2.7e5 rad/s)
-ORACLE_OMEGAS = (0.0, 2e2, 2.5e5, 2.7e5, 2.9e5, 1e6)
+#: across the fundamental resonance of the 7 cm substrate (about 2.7e5 rad/s),
+#: and at 2e6 where family 1's least denominator lies past its first block
+ORACLE_OMEGAS = (0.0, 2e2, 2.5e5, 2.7e5, 2.9e5, 1e6, 2e6)
 ORACLE_POLICIES = (
     TruncationPolicy(),
     TruncationPolicy(n_max=1),
@@ -443,9 +469,10 @@ ORACLE_POLICIES = (
 def test_centered_sum_matches_oracle(thickness, waist):
     geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
     beam = BeamSpec(waist=waist)
-    for policy in ORACLE_POLICIES:
-        for omega in ORACLE_OMEGAS:
-            assert_matches_oracle(geometry, beam, omega, policy)
+    for loss_angle in (1e-6, 0.3):  # at 0.3 the least denominator lies well below the crossing
+        for policy in ORACLE_POLICIES:
+            for omega in ORACLE_OMEGAS:
+                assert_matches_oracle(geometry, beam, omega, policy, loss_angle)
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ def test_offset_sweep_rows_equal_single_point_calls(geo, waist, monkeypatch):
     assert offsets[0] == 0.0 and rows[0].modes_used > 0  # the centered path
     batch = [None] + _chi0_offsets(geo, waist, offsets[1:], spec.policy)
     for row, d, res in zip(rows, offsets, batch):
-        one = effective_susceptibility(*spec.operating_point(d), 0.0, spec.loss_angle, spec.policy)
+        one = effective_susceptibility(*spec.operating_point(d), policy=spec.policy)
         if res is not None:
             assert res == one  # value, tail_bound, per_n, converged and the rest
         assert (row.chi0, row.modes_used, row.tail_bound, row.converged) == (
