@@ -67,7 +67,7 @@ def _common_flags() -> argparse.ArgumentParser:
     add("--sound-speed", type=float, help="longitudinal sound velocity, m/s")
     add("--epsilon", type=float, help="relative tail tolerance of the modal sum")
     add("--max-modes", type=int, help="mode budget")
-    add("--n-max", type=int, help="cap on the longitudinal index")
+    add("--n-max", type=int, help="ceiling on the longitudinal families summed before the closed-form n-tail")
     add("--jobs", type=int, help="processes for the points of a thickness, waist or mass sweep")
     add("--output", type=str, help="write results to this file instead of stdout")
     add("--config", type=str, help="flat key = value config file")

@@ -50,23 +50,26 @@ def check_beam_on_mirror(beam: BeamSpec, geometry: PlanoConvexGeometry) -> None:
 
 
 def mehler_parameters(geometry: PlanoConvexGeometry, beam: BeamSpec, n: np.ndarray):
-    """(beta, 2 mu^2, x, c0) of the families n, which give their shell traces'
-    generating function (Mehler's formula, DLMF 18.18.28)
+    """(beta, 2 mu^2, x, c0, 1 - beta) of the families n, which give their
+    shell traces' generating function (Mehler's formula, DLMF 18.18.28)
 
         sum_s T_s t^s = c0 exp(-x (1 - t) / (1 + beta t)) / (1 - beta^2 t^2)
                       = C exp(2 mu^2 t / (1 + beta t)) / (1 - beta^2 t^2),
 
     with c0 the (0, 0) mode's centered overlap^2 / mass (kg^-1), x = 2 mu^2 /
-    (1 + beta) = 4 d^2 / (w0^2 + 2 w_n^2) and C = T_0 = c0 e^-x.
+    (1 + beta) = 4 d^2 / (w0^2 + 2 w_n^2) and C = T_0 = c0 e^-x.  1 - beta =
+    1 / (0.5 + g), g = w_n^2 / w0^2, is formed as that quotient: 1 - beta by
+    subtraction loses its digits in a narrow beam, where beta -> 1.
     """
     wn2 = acoustic_waist_sq(geometry, n)
     w02, d = beam.waist * beam.waist, beam.offset
     g = wn2 / w02
-    beta = 1.0 - 1.0 / (0.5 + g)
+    gap = 1.0 / (0.5 + g)
+    beta = 1.0 - gap
     mu2x2 = 2.0 * (g * (math.sqrt(2.0) * d / np.sqrt(wn2)) / (0.5 + g)) ** 2
     x = 4.0 * d * d / (w02 + 2.0 * wn2)
     c0 = 16.0 * wn2 / (math.pi * geometry.material.density * geometry.thickness * (w02 + 2.0 * wn2) ** 2)
-    return beta, mu2x2, x, c0
+    return beta, mu2x2, x, c0, gap
 
 
 class ShellTraceTable:
@@ -101,7 +104,7 @@ class ShellTraceTable:
     def __init__(self, geometry: PlanoConvexGeometry, beam: BeamSpec, families: range):
         self._families = np.arange(families.start, families.stop)  # family of each column
         n = self._families.astype(float)
-        self._beta, self._mu2x2, x, c0 = mehler_parameters(geometry, beam, n)
+        self._beta, self._mu2x2, x, c0, _ = mehler_parameters(geometry, beam, n)
         self._beta2 = self._beta * self._beta
         # C = c0 e^-x, the (0, 0) mode's overlap^2 / mass, underflows far off
         # axis, though the traces sum to G(1) = c0 / (1 - beta^2): such a family

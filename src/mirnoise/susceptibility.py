@@ -50,16 +50,19 @@ class TruncationPolicy:
     The model is the infinite sum over every mode; these settings only say
     where the computation stops.  Where a sum of blocks or shells is cut, its
     bound divides what is left by the smallest denominator left, exact at
-    every loss angle (_least_denominator).
+    every loss angle (_least_denominator).  The families past the last one
+    summed, N, are summed in closed form (_n_tail).
 
     epsilon    relative tail tolerance for the reported susceptibility (for
                the integrated off-axis families: for their error estimate;
-               off axis near a resonance: for the shells' sum-rule bound)
+               off axis near a resonance: for the shells' sum-rule bound);
+               the family loop stops at the first N whose n-tail error is at
+               most epsilon / 2 of |value|
     max_modes  hard budget of explicitly summed terms; exceeding it raises
                BudgetExceededError (off axis only the families summed by
                shells near a resonance sum any)
-    n_max      computational cap on the longitudinal index; the families
-               above it are left out, and tail_bound does not cover them
+    n_max      ceiling on N: a sum that reaches it stops there, and its
+               n-tail past n_max counts in tail_bound whatever its error
     """
 
     epsilon: float = 1e-4
@@ -80,13 +83,18 @@ DEFAULT_POLICY = TruncationPolicy()
 class SusceptibilityResult:
     """Modal sum outcome (m/N) with its truncation diagnostics.
 
-    tail_bound is relative to |value|.  For centered beams it is a rigorous
-    geometric bound.  Off-center the families summed by shells near a
+    value is the sum over the families n <= N, whose values per_n holds (N
+    entries), plus n_tail, the midpoint of the bracket on the families n > N
+    (_n_tail).  tail_bound is relative to |value| and covers both: the
+    families' own tails and n_tail_bound, the n-tail's error, also relative
+    to |value|.  For centered beams the families' tails are rigorous
+    geometric bounds.  Off-center the families summed by shells near a
     resonance contribute a rigorous bound too, from the sum rule of their
-    traces; tail_is_estimate is set there because the integrated families
-    contribute the quadrature's error estimate (plus, at omega > 0, the
-    Taylor series' bound).  modes_used counts only the shells summed, so it
-    is 0 at omega = 0.
+    traces; the integrated families contribute the quadrature's error
+    estimate (plus, at omega > 0, the Taylor series' bound).  The n-tail's
+    bracket is an observation, not a theorem, so every result that carries
+    it sets tail_is_estimate.  modes_used counts the terms or shells summed
+    explicitly, so it is 0 off axis at omega = 0.
 
     converged means tail_bound <= epsilon / (1 + epsilon), that is, the
     absolute tail is at most epsilon (|value| - tail), the smallest |chi|
@@ -101,6 +109,8 @@ class SusceptibilityResult:
     tail_is_estimate: bool
     converged: bool
     per_n: tuple
+    n_tail: complex = 0j
+    n_tail_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -128,20 +138,213 @@ class OpticalMassApprox:
     chi_approx: float
 
 
-def _result(total, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy):
-    """The result of a modal sum; tail_abs = inf marks a sum cut short."""
-    tail_rel = tail_abs / (abs(total) if total else 1.0)
-    # tail_abs <= epsilon (|total| - tail_abs): the error is then at most
+def _result(value, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy, n_tail=0.0, n_tail_abs=0.0):
+    """The result of a modal sum; tail_abs = inf marks a sum cut short.  value
+    and tail_abs include the n-tail's midpoint n_tail and its error
+    n_tail_abs."""
+    value = complex(value)
+    scale = abs(value) if value else 1.0
+    tail_rel = tail_abs / scale
+    # tail_abs <= epsilon (|value| - tail_abs): the error is then at most
     # epsilon times the smallest |chi| that the tail allows
     return SusceptibilityResult(
-        value=complex(total),
+        value=value,
         frequency=omega,
         modes_used=modes_used,
         tail_bound=tail_rel,
         tail_is_estimate=tail_is_estimate,
         converged=tail_rel <= policy.epsilon / (1.0 + policy.epsilon),
         per_n=tuple(per_n),
+        n_tail=complex(n_tail),
+        n_tail_bound=n_tail_abs / scale,
     )
+
+
+#: a modal sum takes its families in runs: this many first, then each run
+#: twice as long as the one before, up to the ceiling n_max
+_FIRST_RUN = 32
+
+
+def _family_runs(cap):
+    """(lo, hi): the runs of families lo + 1..hi up to family cap."""
+    lo, size = 0, _FIRST_RUN
+    while lo < cap:
+        yield lo, min(lo + size, cap)
+        lo, size = lo + size, 2 * size
+
+
+def _exp_e1(z):
+    """e^z E1(z) for z > 0 (DLMF 6.2): below z = 1 from the power series of
+    E1, else from its continued fraction by the modified Lentz method."""
+    if z < 1.0:
+        # E1(z) = -gamma - log z - sum_{k >= 1} (-z)^k / (k k!)
+        term, series, k = 1.0, 0.0, 0
+        while abs(term) > 2.0**-60:
+            k += 1
+            term *= -z / k
+            series += term / k
+        return math.exp(z) * (-0.5772156649015329 - math.log(z) - series)
+    # e^z E1(z) = 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))
+    b, c, d = z + 1.0, 1e300, 1.0 / (z + 1.0)
+    value = d
+    for i in range(1, 10_000):
+        b += 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        value *= c * d
+        if abs(c * d - 1.0) <= 2.0**-53:
+            break
+    return value
+
+
+#: nodes of the Gauss-Laguerre rule for the n-tail's constant off axis
+_LAGUERRE_NODES = 40
+
+
+@functools.cache
+def _gauss_laguerre():
+    """Nodes and weights of the _LAGUERRE_NODES-point Gauss-Laguerre rule;
+    numpy.polynomial is imported on first use only."""
+    from numpy.polynomial.laguerre import laggauss
+
+    return laggauss(_LAGUERRE_NODES)
+
+
+def _n_tail_constant(geometry, waist, offset):
+    """K(d) = lim n^2 chi_n(0) over the families n of a beam of the given
+    waist at offset d:
+
+        K(d) = K0 int_0^inf e^-t (z / (z + t)) exp(-(t z / (z + t)) d^2 / (h R)) dt,
+
+    K0 = 2 / (pi rho h w0^2 Omega_M^2), z = 4 h R / w0^2.  As n grows, w_n -> 0
+    and the family's sum over its shells becomes this Laplace integral.
+    Centered it is K0 z e^z E1(z); off axis the Gauss-Laguerre rule takes it.
+    """
+    h, radius, w02 = geometry.thickness, geometry.curvature_radius, waist * waist
+    k0 = 2.0 / (math.pi * geometry.material.density * h * w02 * spectrum_constants(geometry)[0])
+    z = 4.0 * h * radius / w02
+    if offset == 0.0:
+        return k0 * z * _exp_e1(z)
+    nodes, weights = _gauss_laguerre()
+    s = z / (z + nodes)
+    return k0 * np.add.reduce(weights * s * np.exp(-(nodes * s) * (offset * offset / (h * radius)))).item()
+
+
+#: terms of each sum_{m > N} 1/m^k summed before the asymptotic series takes
+#: the rest; the first term that the series leaves out is then below 1e-16 of
+#: the sum
+_POWER_TERMS = 16
+
+
+@functools.cache
+def _power_table(size):
+    """sum_{m > N} 1/m^k for k = 2, 3, 4, that is psi'(N + 1), -psi''(N + 1) / 2
+    and psi'''(N + 1) / 6 (DLMF 5.15), for N = 0..size - 1: _POWER_TERMS
+    terms, then the asymptotic series of the polygammas at y = N + 1 +
+    _POWER_TERMS.  Each row is summed on its own, so an entry does not depend
+    on size."""
+    n = np.arange(float(size))
+    inv = 1.0 / (n[:, None] + np.arange(1.0, _POWER_TERMS + 1.0))
+    sq = inv * inv
+    u = 1.0 / (n + (1.0 + _POWER_TERMS))
+    u2 = u * u
+    psi1 = u + u2 * (0.5 + u * (1.0 / 6.0 + u2 * (-1.0 / 30.0 + u2 * (1.0 / 42.0 + u2 * (-1.0 / 30.0 + u2 * 5.0 / 66.0)))))
+    psi2 = u2 * (0.5 + u * (0.5 + u * (0.25 + u2 * (-1.0 / 12.0 + u2 * (1.0 / 12.0 + u2 * (-0.15 + u2 * 5.0 / 12.0))))))
+    psi3 = u2 * u * (1.0 / 3.0 + u * (0.5 + u * (1.0 / 3.0 + u2 * (-1.0 / 6.0 + u2 * (2.0 / 9.0 + u2 * (-0.5 + u2 * 5.0 / 3.0))))))
+    return (np.add.reduce(sq, axis=1) + psi1, np.add.reduce(sq * inv, axis=1) + psi2,
+            np.add.reduce(sq * sq, axis=1) + psi3)
+
+
+def _power_tails(n):
+    """_power_table's three sums at the N of n, a run of consecutive families."""
+    size = 256
+    while size <= n[-1]:
+        size *= 2
+    lo, hi = int(n[0]), int(n[-1]) + 1
+    return tuple(column[lo:hi] for column in _power_table(size))
+
+
+def _n_tail(n, static, heads, k_inf, omega2, phi, epsilon):
+    """The families n > N past each candidate stop N of the float array n:
+    the midpoint of the bracket on their sum, its error, and whether that
+    error is at most epsilon / 2 of |heads + midpoint|.  static holds family
+    N's omega = 0 value chi_N(0), heads the row's sums over the families
+    <= N, omega2 = (omega / Omega_M)^2 and phi the loss angle at omega.
+
+    n^2 chi_n(0) tends to K = k_inf (_n_tail_constant).  With K1 = N (N^2
+    chi_N(0) - K), the omega = 0 sum past N lies between
+
+        upper = K psi'(N + 1)   and   lower = upper + K1 (-psi''(N + 1) / 2).
+
+    The bracket is an observation, not a theorem: n^2 chi_n(0) stays below
+    K, and the lower end extrapolates family N's deficit as K1 / n^3, which
+    falls off more slowly than the true one.  Its midpoint is the n-tail and
+    its half-width the error.  At omega > 0 the n-tail is the midpoint
+    divided by c = 1 - i phi: each shell of a family n > N resonates above
+    n Omega_M > omega, so the family's sum differs from its omega = 0 sum
+    over c by at most chi_n(0) omega2 / (n^2 - omega2) / |c|, and with
+    chi_n(0) <= K / n^2 that is at most K omega2 (N + 1)^2 / ((N + 1)^2 -
+    omega2) / n^4 / |c|.  The error adds that summed over n > N, with
+    psi'''(N + 1) / 6 for the sum of 1/n^4, and is inf where N + 1 <=
+    omega / Omega_M.
+    """
+    s2, s3, s4 = _power_tails(n)
+    upper = k_inf * s2
+    slope = n * (n * n * static - k_inf) * s3
+    mid, err = upper + 0.5 * slope, 0.5 * np.abs(slope)
+    if omega2 > 0.0:
+        # inf where N + 1 <= omega / Omega_M: a family past N may resonate below omega
+        room = (n + 1.0) ** 2 - omega2
+        shift = np.divide(k_inf * omega2 * (n + 1.0) ** 2 * s4, room, out=np.full(len(n), math.inf),
+                          where=room > 0.0)
+        err = (err + shift) / math.hypot(1.0, phi)
+        cos2 = 1.0 / (1.0 + phi * phi)
+        mid = mid * complex(cos2, cos2 * phi)  # mid / c
+    value = heads + mid
+    return mid, err, err <= 0.5 * epsilon * np.hypot(value.real, value.imag)
+
+
+class _Families:
+    """A modal sum's families in ascending n, taken in runs up to the first
+    N whose n-tail meets its share of epsilon (_n_tail), or up to n_max,
+    where the sum stops whatever the n-tail's error."""
+
+    def __init__(self, k_inf, omega, phi, om_m2, policy):
+        self._rule = k_inf, omega * omega / om_m2, phi, policy.epsilon  # _n_tail's
+        self._n_max = policy.n_max
+        self.sums, self.tails, self.count, self.head = [], [], 0, 0.0
+        self.stop = None  # (value, n-tail, its error) once stopped
+
+    def take(self, sums, statics, tails):
+        """Take a run of families: their sums, omega = 0 values statics and
+        tails.  Returns the index in the run of the family where the sum
+        stops, or None: families past it are not taken."""
+        heads = np.cumsum(np.concatenate(([self.head], sums)))[1:]
+        n = np.arange(self.count + 1.0, self.count + len(sums) + 1.0)
+        mid, err, met = _n_tail(n, statics, heads, *self._rule)
+        if met.any():
+            i = int(met.argmax())
+        elif self.count + len(sums) >= self._n_max:
+            i = len(sums) - 1  # the ceiling
+        else:
+            i = None
+        keep = len(sums) if i is None else i + 1
+        self.sums.append(sums[:keep])
+        self.tails.append(tails[:keep])
+        self.count, self.head = self.count + keep, heads[keep - 1]
+        if i is not None:
+            self.stop = heads[i] + mid[i], mid[i], err[i].item()
+        return i
+
+    def per_n(self):
+        return np.concatenate(self.sums).tolist() if self.sums else []
+
+    def result(self, omega, modes_used, policy):
+        """The result at the stop: the families' tails summed in order of n,
+        plus the n-tail's error."""
+        value, mid, err = self.stop
+        tail = np.cumsum(np.concatenate(self.tails))[-1].item()
+        return _result(value, omega, modes_used, tail + err, True, self.per_n(), policy, mid, err)
 
 
 def _least_denominator(om_m2, curv, n, omega, phi):
@@ -163,15 +366,16 @@ def _least_denominator(om_m2, curv, n, omega, phi):
 
 
 def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
-    """Sums over p0 <= p < p0 + count of the terms of the families n, with
-    ovl2_head = c^2 q^(2 p0); per-family values are scalars (one family) or
-    columns (a row per family)."""
+    """Sums over p0 <= p < p0 + count of the terms of the families n at omega
+    and at 0, with ovl2_head = c^2 q^(2 p0); per-family values are scalars
+    (one family) or columns (a row per family)."""
     p = np.arange(p0, p0 + count, dtype=float)
     ovl2 = ovl2_head * q2 ** (p - p0)
     om2 = shell_frequency_sq(om_m2, curv, n, 2.0 * p)
+    static = (ovl2 / (mass * om2)).sum(axis=-1)
     if omega == 0.0:
-        return (ovl2 / (mass * om2)).sum(axis=-1)
-    return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1)
+        return static, static
+    return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1), static
 
 
 @np.errstate(divide="ignore")  # the tail of a degenerate beam is inf
@@ -180,79 +384,91 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     overlaps, rigorous geometric tail bound per longitudinal family.
 
     Blocks of p double from 64 to 8192 terms until a family's tail meets its
-    share of the tolerance.  The first block of every family is one 2D array,
-    a row per family; a walk in ascending n then takes the families whose
-    first block suffices in one vector step, up to the next one that needs a
-    further block, which it sums alone before walking on.
+    share of the tolerance.  The families come in runs (_family_runs), and
+    the first block of every family of a run is one 2D array, a row per
+    family; a walk in ascending n then takes the families whose first block
+    suffices in one vector step, up to the next one that needs a further
+    block, which it sums alone before walking on.  Each family also sums its
+    terms at omega = 0, for the n-tail; the walk stops at the family where
+    the n-tail meets its share (_Families).
     """
     om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
     first = 64
+    families = _Families(_n_tail_constant(geometry, beam.waist, 0.0), omega, phi, om_m2, policy)
+    total, used = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0
     # a family past max_modes // first + 1 cannot be reached within the budget
-    n = np.arange(1.0, min(policy.n_max, policy.max_modes // first + 1) + 1.0)
-    wn2 = acoustic_waist_sq(geometry, n)
-    mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
-    c = 2.0 * wn2 / (2.0 * wn2 + w02)
-    q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
-    q2 = q * q
-    head = c * c  # c^2 q^(2 p0) at the head of each family's next block
-    sums = _centered_block(om_m2, curv, n[:, None], mass[:, None], head[:, None], q2[:, None],
-                           0, first, omega, phi)
-    # Python's scalar pow: numpy's vector one can differ from it in the last bit
-    head *= [q2_n**first for q2_n in q2.tolist()]
-    # no denominator past a block falls below the smallest one left: at omega = 0
-    # the next shell's Omega^2, else _least_denominator's rule
-    den = shell_frequency_sq(om_m2, curv, n, 2.0 * first)
-    if omega > 0.0:
-        s_least, least = _least_denominator(om_m2, curv, n, omega, phi)
-        den = np.where(2 * first <= s_least, least, np.hypot(den - omega * omega, -den * phi))
-    # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
-    tails = head / ((1.0 - q2) * mass * den)
+    for lo, hi in _family_runs(min(policy.n_max, policy.max_modes // first + 1)):
+        n = np.arange(lo + 1.0, hi + 1.0)
+        wn2 = acoustic_waist_sq(geometry, n)
+        mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
+        c = 2.0 * wn2 / (2.0 * wn2 + w02)
+        q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+        q2 = q * q
+        head = c * c  # c^2 q^(2 p0) at the head of each family's next block
+        sums, statics = _centered_block(om_m2, curv, n[:, None], mass[:, None], head[:, None], q2[:, None],
+                                        0, first, omega, phi)
+        # Python's scalar pow: numpy's vector one can differ from it in the last bit
+        head *= [q2_n**first for q2_n in q2.tolist()]
+        # no denominator past a block falls below the smallest one left: at omega = 0
+        # the next shell's Omega^2, else _least_denominator's rule
+        den = shell_frequency_sq(om_m2, curv, n, 2.0 * first)
+        if omega > 0.0:
+            s_least, least = _least_denominator(om_m2, curv, n, omega, phi)
+            den = np.where(2 * first <= s_least, least, np.hypot(den - omega * omega, -den * phi))
+        # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
+        tails = head / ((1.0 - q2) * mass * den)
 
-    total, used, k, walk = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0, 0, True
-    while k < len(n):
-        if walk:
-            # running totals in ascending n from family k on: every family up to
-            # the first whose first block falls short is done in one vector step
-            # (hypot is Python's complex abs; numpy's can differ in the last bit)
-            totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
-            modes = used + first * np.arange(1, len(totals) + 1)
-            target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
-            done = (modes <= policy.max_modes) & (tails[k:] <= target)
-            j = len(done) if done.all() else int(np.argmin(done))
-            if j:
-                total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
-            if k == len(n):
-                break
-        # that family alone: further blocks until its tail meets its target,
-        # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
-        s_n, p, tail_n = sums[k].item(), first, tails[k]
-        n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
-        while True:
-            if used + p > policy.max_modes:
-                raise BudgetExceededError(
-                    f"mode budget {policy.max_modes} exhausted at n={k + 1}, p={p}",
-                    partial=_result(total + s_n, omega, used + p, math.inf, False, sums[:k].tolist(),
-                                    policy),
-                )
-            if tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
-                break
-            # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
-            count = min(p + 64, 8192)
-            block = _centered_block(om_m2, curv, n_k, mass_k, head[k].item(), q2_k, p, count, omega, phi)
-            s_n += block.item()
-            head[k] *= q2_k.item() ** count
-            p += count
-            den = shell_frequency_sq(om_m2, curv, n_k, 2.0 * p)
-            if omega > 0.0:
-                den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
-            tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
-        sums[k], tails[k] = s_n, tail_n
-        total, used, k = total + s_n, used + p, k + 1
-        # walk on in vector steps once a family needs no further block; in a
-        # narrow beam every family does, and each step would stop at once
-        walk = p == first
-    return _result(total, omega, used, np.cumsum(tails)[-1].item(), False, sums.tolist(), policy)
+        k, walk = 0, True
+        while k < len(n):
+            if walk:
+                # running totals in ascending n from family k on: every family up to
+                # the first whose first block falls short is done in one vector step
+                # (hypot is Python's complex abs; numpy's can differ in the last bit)
+                totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
+                modes = used + first * np.arange(1, len(totals) + 1)
+                target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
+                done = (modes <= policy.max_modes) & (tails[k:] <= target)
+                j = len(done) if done.all() else int(np.argmin(done))
+                if j:
+                    stop = families.take(sums[k : k + j], statics[k : k + j], tails[k : k + j])
+                    if stop is not None:
+                        return families.result(omega, int(modes[stop]), policy)
+                    total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
+                if k == len(n):
+                    break
+            # that family alone: further blocks until its tail meets its target,
+            # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
+            s_n, static_n, p, tail_n = sums[k].item(), statics[k].item(), first, tails[k]
+            n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
+            while True:
+                if used + p > policy.max_modes:
+                    raise BudgetExceededError(
+                        f"mode budget {policy.max_modes} exhausted at n={lo + k + 1}, p={p}",
+                        partial=_result(total + s_n, omega, used + p, math.inf, False, families.per_n(), policy),
+                    )
+                if tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
+                    break
+                # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
+                count = min(p + 64, 8192)
+                block, block_static = _centered_block(om_m2, curv, n_k, mass_k, head[k].item(), q2_k, p, count,
+                                                      omega, phi)
+                s_n += block.item()
+                static_n += block_static.item()
+                head[k] *= q2_k.item() ** count
+                p += count
+                den = shell_frequency_sq(om_m2, curv, n_k, 2.0 * p)
+                if omega > 0.0:
+                    den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
+                tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
+            total, used, k = total + s_n, used + p, k + 1
+            if families.take(np.array([s_n]), np.array([static_n]), np.array([tail_n])) is not None:
+                return families.result(omega, used, policy)
+            # walk on in vector steps once a family needs no further block; in a
+            # narrow beam every family does, and each step would stop at once
+            walk = p == first
+    # the last run ends at n_max, where _Families stops, or runs out of budget
+    raise AssertionError("unreachable: the family loop ended without a stop")
 
 
 #: a shelled family's sum-rule remainder G(1) - sum_{s<=S} T_s is floored at
@@ -346,11 +562,12 @@ def _gauss_legendre():
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def _family_integrals(beta, x, a1, pieces, plain, moments):
+def _family_integrals(beta, gap, x, a1, pieces, plain, moments):
     """int_0^1 e^(-x u) t^a1 (-log t)^k / k! du / (1 - beta + 2 beta u),
     t = (1 - u)/(1 + beta u), per beam (row of x), family (column of x) and
     k < moments, as a (beams x moments x families) array, by the
-    Gauss-Legendre rule on `pieces` equal pieces.
+    Gauss-Legendre rule on `pieces` equal pieces; gap = 1 - beta, formed
+    without cancellation (mehler_parameters).
 
     The variable is v = log(1 - beta + 2 beta u), so du / (1 - beta + 2 beta u)
     = dv / (2 beta): that takes out the near-pole at u = 0 of narrow beams
@@ -360,14 +577,19 @@ def _family_integrals(beta, x, a1, pieces, plain, moments):
     times (-log t)^k, and is divided by k! at the end.  Only x depends on a
     beam's offset: each piece forms the offset-free node arrays once, and a
     beam then costs one multiply, subtract, clamp and exp, and the matmuls.
+    Moment 0 is summed row by row (einsum), so a family's value does not
+    depend on the families that share its pass: the zero-frequency sums take
+    their families in runs.  BLAS's matrix-vector product can round a row
+    differently by its place in the matrix, and serves the higher moments,
+    which are taken in one pass over all families.
     """
     nodes, weights = _gauss_legendre()
     lo, hi, jac = ((np.zeros_like(beta), np.ones_like(beta), 1.0) if plain
-                   else (np.log1p(-beta), np.log1p(beta), 0.5 / beta))
+                   else (np.log(gap), np.log1p(beta), 0.5 / beta))
     width = (hi - lo) / pieces
     # e^v = 1 - beta + 2 beta u: u = (e^v - (1 - beta)) jac, t = (1 + beta - e^v) / (beta (1 + beta + e^v))
     xj = (x * jac)[:, :, None]
-    beta, a1, lo, col = (a[:, None] for a in (beta, a1, lo, width))
+    beta, gap, a1, lo, col = (a[:, None] for a in (beta, gap, a1, lo, width))
     total = np.zeros((len(xj), moments, len(beta)))
     # work arrays written in place: a fresh array per operation faults its pages in anew on each call
     var, work, log_t, f = np.empty((4, len(beta), _GL_NODES))
@@ -380,11 +602,11 @@ def _family_integrals(beta, x, a1, pieces, plain, moments):
         if plain:
             np.add(1.0, np.multiply(beta, var, out=f), out=f)
             np.log(np.divide(np.subtract(1.0, var, out=log_t), f, out=log_t), out=log_t)
-            np.add(1.0 - beta, np.multiply(2.0 * beta, var, out=work), out=work)
+            np.add(gap, np.multiply(2.0 * beta, var, out=work), out=work)
         else:
             np.multiply(beta, np.add(1.0 + beta, np.exp(var, out=work), out=f), out=f)
             np.log(np.divide(np.subtract(1.0 + beta, work, out=log_t), f, out=log_t), out=log_t)
-            np.subtract(work, 1.0 - beta, out=work)
+            np.subtract(work, gap, out=work)
         np.multiply(a1, log_t, out=a1_log_t)
         if moments > 1:
             np.negative(log_t, out=log_t)  # -log t, for the moment rows
@@ -395,7 +617,7 @@ def _family_integrals(beta, x, a1, pieces, plain, moments):
             np.exp(np.maximum(f, -700.0, out=f), out=f)
             if plain:
                 f /= work
-            total_b[0] += f @ weights
+            total_b[0] += np.einsum("fj,j->f", f, weights)
             for j in range(1, moments):
                 f *= log_t  # times -log t
                 total_b[j] += f @ weights
@@ -420,7 +642,7 @@ def _offaxis_integrals(geometry, beams, om_m2, curv, n, moments):
         int_0^1 e^(-x u) ((1-u)/(1+beta u))^(a-1) (-log t)^k / k! du / (1 - beta + 2 beta u).
     """
     params = [mehler_parameters(geometry, beam, n) for beam in beams]
-    beta, _, _, c0 = params[0]
+    beta, _, _, c0, gap = params[0]
     x = np.array([p[2] for p in params])
     a1 = n / curv
     value, check = np.empty((2, len(beams), moments, len(n)))
@@ -429,8 +651,8 @@ def _offaxis_integrals(geometry, beams, om_m2, curv, n, moments):
         families = np.flatnonzero(plain == form)
         for lo in range(0, len(families), _FAMILY_CHUNK):
             f = families[lo : lo + _FAMILY_CHUNK]
-            value[:, :, f] = _family_integrals(beta[f], x[:, f], a1[f], _GL_PIECES, form, moments)
-            check[:, :, f] = _family_integrals(beta[f], x[:, f], a1[f], _GL_CHECK_PIECES, form, moments)
+            for pieces, out in ((_GL_PIECES, value), (_GL_CHECK_PIECES, check)):
+                out[:, :, f] = _family_integrals(beta[f], gap[f], x[:, f], a1[f], pieces, form, moments)
     return value, check, c0 / (om_m2 * curv * n)
 
 
@@ -463,25 +685,27 @@ def _taylor_sums(value, check, scale, shift, phi, rho, terms):
     return re_s * re - im_s * im, re_s * im + im_s * re, scale * np.sqrt(cos2) * err
 
 
-def _chi0_offaxis(value, check, scale, omega, policy):
-    """The omega = 0 result of one beam from its families' moments M_0 by the
-    two rules (_offaxis_integrals): |I_8 - I_4| is each family's error
-    estimate."""
-    sums, errors = scale * value, scale * np.abs(value - check)
-    return _result(np.add.reduce(sums).item(), omega, 0, np.add.reduce(errors).item(), True, sums.tolist(), policy)
-
-
 def _chi0_offsets(geometry, waist, offsets, policy):
     """effective_susceptibility at omega = 0 of a beam of the given waist at
-    each offset (all > 0, beams on the mirror), from one quadrature pass:
-    only x = 4 d^2 / (w0^2 + 2 w_n^2) depends on the offset, so the pass forms
-    the rest of each node's integrand once for every offset.  Each result is
-    == to its one-beam call."""
+    each offset (all > 0, beams on the mirror).  The families come in runs
+    (_family_runs), each run one quadrature pass for every beam whose sum has
+    not stopped yet: only x = 4 d^2 / (w0^2 + 2 w_n^2) depends on the offset,
+    so a pass forms the rest of each node's integrand once for all of them.
+    |I_8 - I_4|, the difference of the two rules (_offaxis_integrals), is each
+    family's error estimate.  Each result is == to its one-beam call."""
     om_m2, curv = spectrum_constants(geometry)
-    n = np.arange(1.0, policy.n_max + 1.0)
     beams = [BeamSpec(waist=waist, offset=d) for d in offsets]
-    value, check, scale = _offaxis_integrals(geometry, beams, om_m2, curv, n, 1)
-    return [_chi0_offaxis(v[0], c[0], scale, 0.0, policy) for v, c in zip(value, check)]
+    sums = [_Families(_n_tail_constant(geometry, waist, d), 0.0, 0.0, om_m2, policy) for d in offsets]
+    todo = list(range(len(beams)))
+    for lo, hi in _family_runs(policy.n_max):
+        n = np.arange(lo + 1.0, hi + 1.0)
+        value, check, scale = _offaxis_integrals(geometry, [beams[b] for b in todo], om_m2, curv, n, 1)
+        for b, v, c in zip(todo, value[:, 0], check[:, 0]):
+            sums[b].take(scale * v, scale * v, scale * np.abs(v - c))
+        todo = [b for b in todo if sums[b].stop is None]
+        if not todo:
+            break
+    return [s.result(0.0, 0, policy) for s in sums]
 
 
 def _chi_offaxis(geometry, beam, omegas, phis, policy):
@@ -499,18 +723,23 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     series in delta = omega^2 / (Omega_M^2 curv n (1 - i phi)) over the same
     frequency-free moments (_taylor_sums).  No shell is summed there; the
     error estimate is the quadrature's plus the bound on the series' cut.  The
-    pairs nearer a resonance (the low families at high omega) sum shell by
-    shell from a ShellTraceTable of those families alone, and modes_used
-    counts these shell summands; their per-family tail is the sum-rule bound
-    of _offaxis_family, and their tolerance refers to the whole row, the
+    pairs nearer a resonance (the low families at high omega, a run from
+    family 1 on, as rho falls with n) sum shell by shell from a
+    ShellTraceTable of those families alone, and modes_used counts these
+    shell summands; their per-family tail is the sum-rule bound of
+    _offaxis_family, and their tolerance refers to the whole row, the
     integrated families included.  Families run outermost, so each family's
     shell traces serve every omega; within a family the omegas are the rows
-    of one (omega x shell) array per level.
+    of one (omega x shell) array per level.  Each row stops at its own n-tail
+    (_Families), and a row that stops among the shelled families takes no
+    further shells.  A grid of omega = 0 alone is _chi0_offsets; any other
+    integrates all n_max families in one pass, whose M_0 serve the n-tails.
     """
     om_m2, curv = spectrum_constants(geometry)
-    n = np.arange(1.0, policy.n_max + 1.0)
-    results = [None] * len(omegas)
     rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
+    if not rows:
+        return _chi0_offsets(geometry, beam.waist, [beam.offset], policy) * len(omegas)
+    n = np.arange(1.0, policy.n_max + 1.0)
     om = np.array([omegas[k] for k in rows], dtype=float)
     phi = np.array([phis[k] for k in rows], dtype=float)
     # |delta| (1 + phi^2)^(1/2) and rho per (omega, family)
@@ -520,34 +749,39 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     # a pair's series has the fewest terms K >= 1 with rho^K / (1 - rho) <= _TAYLOR_TARGET
     rho = np.clip(rho, np.finfo(float).tiny, _TAYLOR_RHO)
     terms = np.where(taylor, np.ceil(np.log(_TAYLOR_TARGET * (1.0 - rho)) / np.log(rho)), 0.0)
-    if len(rows) < len(omegas) or taylor.any():
-        moments = int(max(terms.max(initial=0.0), 1.0))
-        (value,), (check,), scale = _offaxis_integrals(geometry, [beam], om_m2, curv, n, moments)
-    for k, omega in enumerate(omegas):
-        if omega == 0.0:
-            results[k] = _chi0_offaxis(value[0], check[0], scale, omega, policy)
-    if not rows:
-        return results
+    moments = int(max(terms.max(initial=0.0), 1.0))
+    (value,), (check,), scale = _offaxis_integrals(geometry, [beam], om_m2, curv, n, moments)
+    k_inf = _n_tail_constant(geometry, beam.waist, beam.offset)
+    static = scale * value[0]
+    zero = None
+    if len(rows) < len(omegas):
+        zero = _Families(k_inf, 0.0, 0.0, om_m2, policy)
+        zero.take(static, static, scale * np.abs(value[0] - check[0]))
+        zero = zero.result(0.0, 0, policy)
+    results = [zero] * len(omegas)  # the omega > 0 rows are set below
 
     per_n = np.zeros((len(rows), len(n)), dtype=complex)
     errors = np.zeros((len(rows), len(n)))
     if taylor.any():
         per_n.real, per_n.imag, errors = _taylor_sums(value, check, scale, shift, phi, rho, terms)
-    totals, tails = [], []
+    totals = []
     for r in range(len(rows)):
         sel = taylor[r]
         totals.append(complex(np.add.reduce(per_n.real[r][sel]).item(), np.add.reduce(per_n.imag[r][sel]).item()))
-        tails.append(np.add.reduce(errors[r][sel]).item())
     per_n = per_n.tolist()
     modes = [0] * len(rows)
+    sums = [_Families(k_inf, omegas[k], phis[k], om_m2, policy) for k in rows]
 
     shelled = np.flatnonzero(~taylor.all(axis=0)).tolist()
     families = [col + 1 for col in shelled]
     table = ShellTraceTable(geometry, beam, range(1, shelled[-1] + 2)) if shelled else None
-    beta, _, _, c0 = mehler_parameters(geometry, beam, n[shelled])
-    for i, (col, g1) in enumerate(zip(shelled, (c0 / (1.0 - beta * beta)).tolist())):  # G(1), the sum of its traces
+    beta, _, _, c0, gap = mehler_parameters(geometry, beam, n[shelled])
+    # G(1) = c0 / (1 - beta^2), the sum of a family's traces
+    for i, (col, g1) in enumerate(zip(shelled, (c0 / (gap * (1.0 + beta))).tolist())):
         n_k = families[i]
-        sub = np.flatnonzero(~taylor[:, col]).tolist()
+        sub = [r for r in np.flatnonzero(~taylor[:, col]).tolist() if sums[r].stop is None]
+        if not sub:
+            continue
         found = _offaxis_family(table, families[i:], om_m2, curv, g1, om[sub], phi[sub], [totals[r] for r in sub],
                                 policy)
         for r, (s_n, tail_n, count) in zip(sub, found):
@@ -561,10 +795,14 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
                                     policy),
                 )
             totals[r] += s_n
-            tails[r] += tail_n
             per_n[r][col] = s_n
+            sums[r].take(np.array([s_n]), static[col : col + 1], np.array([tail_n]))
     for r, k in enumerate(rows):
-        results[k] = _result(totals[r], omegas[k], modes[r], tails[r], True, per_n[r], policy)
+        # the rest of the row's families are integrated
+        lo = sums[r].count
+        if sums[r].stop is None:
+            sums[r].take(np.array(per_n[r][lo:]), static[lo:], errors[r][lo:])
+        results[k] = sums[r].result(omegas[k], modes[r], policy)
     return results
 
 

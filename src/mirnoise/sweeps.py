@@ -102,10 +102,10 @@ class SweepRow:
     seconds: float = field(default=0.0, compare=False)
 
 
-def validate_sweep(spec: SweepSpec) -> None:
-    """Check every sweep point's invariants before any computation is spent."""
-    for value in spec.values():
-        spec.operating_point(value)
+def validate_sweep(spec: SweepSpec) -> list:
+    """Check every sweep point's invariants before any computation is spent;
+    returns each point's (geometry, beam), in sweep order."""
+    return [spec.operating_point(float(value)) for value in spec.values()]
 
 
 def _row(value: float, geometry: PlanoConvexGeometry, res: SusceptibilityResult, seconds: float) -> SweepRow:
@@ -120,9 +120,8 @@ def _row(value: float, geometry: PlanoConvexGeometry, res: SusceptibilityResult,
     )
 
 
-def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
+def _sweep_point(spec: SweepSpec, value: float, geometry: PlanoConvexGeometry, beam: BeamSpec) -> SweepRow:
     start = time.perf_counter()
-    geometry, beam = spec.operating_point(value)
     try:
         res = effective_susceptibility(geometry, beam, policy=spec.policy)
     except BudgetExceededError as err:
@@ -130,15 +129,16 @@ def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
     return _row(value, geometry, res, time.perf_counter() - start)
 
 
-def _offset_sweep(spec: SweepSpec, values: list[float]) -> list[SweepRow]:
+def _offset_sweep(spec: SweepSpec, values: list[float], points: list) -> list[SweepRow]:
     """An offset sweep's rows: d = 0 on the centered path, every other offset
-    from one _chi0_offsets call, whose quadrature pass serves them all."""
+    from one _chi0_offsets call, whose quadrature passes serve them all."""
     start = time.perf_counter()
     offsets = [v for v in values if v != 0.0]
-    geometry, _ = spec.operating_point(offsets[0])  # one geometry for every offset
+    geometry = points[0][0]  # one geometry for every offset
     results = iter(_chi0_offsets(geometry, spec.waist, offsets, spec.policy))
     seconds = (time.perf_counter() - start) / len(offsets)
-    return [_sweep_point(spec, v) if v == 0.0 else _row(v, geometry, next(results), seconds) for v in values]
+    return [_sweep_point(spec, v, *point) if v == 0.0 else _row(v, geometry, next(results), seconds)
+            for v, point in zip(values, points)]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
@@ -148,18 +148,19 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     continues; an invalid spec aborts before any point is computed.  The
     points of other parameters run one by one, in jobs processes if jobs > 1,
     and each row's seconds is the wall time of its own point.  An offset sweep
-    runs in this process whatever jobs is: its non-zero offsets share one
-    quadrature pass, and each of their rows' seconds is an equal share of
-    that pass's wall time.  Every row is == to its one-point computation.
+    runs in this process whatever jobs is: its non-zero offsets share their
+    quadrature passes, and each of their rows' seconds is an equal share of
+    those passes' wall time.  Each point's geometry is solved once, by
+    validate_sweep.  Every row is == to its one-point computation.
     """
-    validate_sweep(spec)
+    points = validate_sweep(spec)
     values = [float(v) for v in spec.values()]
     if spec.parameter == "offset":
-        return _offset_sweep(spec, values)
+        return _offset_sweep(spec, values, points)
     if jobs <= 1:
-        return [_sweep_point(spec, v) for v in values]
+        return [_sweep_point(spec, v, *point) for v, point in zip(values, points)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_point, [spec] * len(values), values))
+        return list(pool.map(_sweep_point, [spec] * len(values), values, *zip(*points)))
 
 
 # ---------------------------------------------------------------------------

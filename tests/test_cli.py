@@ -46,7 +46,7 @@ def test_chi0_command(capsys):
     code, out, _ = run_cli(capsys, "chi0")
     assert code == 0
     values = parse_kv(out)
-    assert float(values["chi0"]) == pytest.approx(1.106e-10, rel=1e-3)
+    assert float(values["chi0"]) == pytest.approx(1.113e-10, rel=1e-3)
     assert values["converged"] == "1"
 
 
@@ -67,10 +67,10 @@ def test_config_file_and_override(tmp_path, capsys):
     cfg.write_text("waist = 0.055\nmass = 20\n# comment line\n")
     code, out, _ = run_cli(capsys, "chi0", "--config", str(cfg))
     assert code == 0
-    assert float(parse_kv(out)["chi0"]) == pytest.approx(2.38e-11, rel=1e-2)
+    assert float(parse_kv(out)["chi0"]) == pytest.approx(2.389e-11, rel=1e-2)
     # explicit flag wins over the file
     code, out, _ = run_cli(capsys, "chi0", "--config", str(cfg), "--waist", "0.02")
-    assert float(parse_kv(out)["chi0"]) == pytest.approx(1.106e-10, rel=1e-3)
+    assert float(parse_kv(out)["chi0"]) == pytest.approx(1.113e-10, rel=1e-3)
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -183,9 +183,9 @@ def test_compare_rejects_nonreference_waist(capsys):
     assert "improvement_ratio" not in out.splitlines()[1]
 
 
-# golden files written by the per-family implementations that the shared
-# shell-trace table (offset beams) and the all-families block sum (centered
-# beams) replaced; the CSV output must not change by a byte
+# golden files of the CLI's CSV output, which must not change by a byte; last
+# written when every sum took the n-tail past its stop, the per-family
+# implementations' output plus that n-tail
 GOLDEN_RUNS = {
     "spectrum_centered.csv": ("spectrum", "--omega-min", "200", "--omega-max", "1e6", "--points", "12"),
     "spectrum_offset.csv": (
@@ -280,7 +280,7 @@ def test_runtime_imports_no_validation_code():
 import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
 import mirnoise, mirnoise.cli
-for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["chi0", "--waist", "0.001", "--offset", "0.185"],
+for argv in (["chi0"], ["chi0", "--offset", "0.03"], ["chi0", "--waist", "0.001", "--offset", "0.185", "--n-max", "1000"],
              ["spectrum", "--points", "3"], ["converge"], ["geometry"],
              ["sweep", "--param", "mass", "--lo", "10", "--hi", "20", "--points", "2"], ["compare"]):
     assert mirnoise.cli.main(argv) == 0, argv

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,9 +16,14 @@ from mirnoise.susceptibility import (
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
+    _exp_e1,
     _family_integrals,
     _gauss_legendre,
     _least_denominator,
+    _n_tail,
+    _n_tail_constant,
+    _offaxis_integrals,
+    _power_tails,
     displacement_noise_spectrum,
     effective_susceptibility,
     effective_susceptibility_grid,
@@ -36,6 +42,10 @@ from mirnoise.validation import (
     overlap_centered,
     shell_overlap_sq_over_mass,
 )
+
+
+#: a policy whose n-tail misses its share up to n_max = 200: every family is summed
+EVERY_FAMILY = TruncationPolicy(epsilon=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +92,11 @@ def test_mode_susceptibility_static_and_resonant(geo):
 
 
 def test_chi_eff_brute_force_equivalence(geo, beam):
-    # n <= 2, l = 0, centered: at epsilon 0.9 each family stops after its
-    # first block of 64 terms, p < 64; literal term-by-term sum
-    policy = TruncationPolicy(epsilon=0.9, n_max=2)
+    # n <= 2, l = 0, centered: at epsilon 0.05 each family stops after its
+    # first block of 64 terms, p < 64, and the n-tail past n = 1 (8% of the
+    # value) misses its share; literal term-by-term sum of the two families,
+    # the head of the value, which adds the n-tail past n = 2
+    policy = TruncationPolicy(epsilon=0.05, n_max=2)
     res = effective_susceptibility(geo, beam, 0.0, policy=policy)
     total = 0.0
     for n in (1, 2):
@@ -92,7 +104,8 @@ def test_chi_eff_brute_force_equivalence(geo, beam):
         for p in range(64):
             ovl = overlap_centered(mode_data(geo, ModeIndex(n=n, p=p)), beam).value
             total += ovl * ovl / (mode_mass * eigenfrequency_sq(geo, n, 2 * p))
-    assert res.value.real == pytest.approx(total, rel=1e-12)
+    assert len(res.per_n) == 2 and sum(res.per_n) == pytest.approx(total, rel=1e-12, abs=0.0)
+    assert res.value == sum(res.per_n) + res.n_tail and res.n_tail.real > 0.0
     assert res.modes_used == 128
 
 
@@ -140,7 +153,9 @@ def test_chi_eff_offaxis_matches_centered_limit(geo):
     centered = effective_susceptibility(geo, BeamSpec(waist=0.02))
     near = effective_susceptibility(geo, BeamSpec(waist=0.02, offset=1e-10))
     assert near.value.real == pytest.approx(centered.value.real, rel=1e-4)
-    assert near.tail_is_estimate and not centered.tail_is_estimate
+    # both carry the n-tail, whose bracket is an observation
+    assert near.tail_is_estimate and centered.tail_is_estimate
+    assert near.n_tail.real == pytest.approx(centered.n_tail.real, rel=1e-6, abs=0.0)
 
 
 @given(
@@ -340,8 +355,11 @@ def test_least_denominator_is_the_brute_force_minimum(thickness):
 # Oracle for the centered modal sum: the per-family implementation that the
 # all-families block sum replaced, kept verbatim but for its least
 # denominator, which sits at omega^2 / (1 + phi^2) and not at the crossing
-# with omega^2.  The library must reproduce its results, budget errors and
-# partial results exactly (==, not approx).
+# with omega^2, and for the n-tail: each family also sums its terms at
+# omega = 0, and the loop stops at the first family where the library's
+# n-tail rule (_n_tail, pinned on its own below) is met, or at n_max.  The
+# library must reproduce its results, budget errors and partial results
+# exactly (==, not approx).
 # ---------------------------------------------------------------------------
 
 
@@ -356,16 +374,22 @@ def _oracle_min_abs_denominator(om_m2, n, curv, shell_start, omega, phi):
     return min(abs(complex(w2(s) - om2, -w2(s) * phi)) for s in candidates)
 
 
-def _oracle_result(total, omega, modes_used, tail_abs, per_n, policy):
-    tail_rel = tail_abs / (abs(total) if total else 1.0)
+def _oracle_result(total, omega, modes_used, tail_abs, per_n, policy, n_tail=None):
+    """n_tail: the (midpoint, error) of the families past the last, or None
+    for a partial result."""
+    mid, err = n_tail or (0.0, 0.0)
+    value = complex(total + mid)
+    tail_rel = (tail_abs + err) / (abs(value) if value else 1.0)
     return SusceptibilityResult(
-        value=complex(total),
+        value=value,
         frequency=omega,
         modes_used=modes_used,
         tail_bound=tail_rel,
-        tail_is_estimate=False,
-        converged=tail_rel <= policy.epsilon,
+        tail_is_estimate=n_tail is not None,
+        converged=tail_rel <= policy.epsilon / (1.0 + policy.epsilon),
         per_n=tuple(per_n),
+        n_tail=complex(mid),
+        n_tail_bound=err / (abs(value) if value else 1.0),
     )
 
 
@@ -382,6 +406,7 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
     tail_abs = 0.0
     per_n = []
     modes_used = 0
+    k_inf = _n_tail_constant(geometry, beam.waist, 0.0)
 
     for n in range(1, policy.n_max + 1):
         wn2 = acoustic_waist_sq(geometry, n)
@@ -390,6 +415,7 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
         q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
         q2 = q * q
         s_n = 0.0 if at_zero else 0.0 + 0.0j
+        static_n = 0.0  # the family's sum at omega = 0
         ovl2_head = c * c  # c^2 q^(2 p0) at the head of the current block
         p0 = 0
         block = 64
@@ -399,8 +425,9 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
             p = np.arange(p0, p0 + count, dtype=float)
             ovl2 = ovl2_head * q2 ** (p - p0)
             om2 = om_m2 * (n * n + curv * n * (2.0 * p + 1.0))
+            static_n += float((ovl2 / (mass * om2)).sum())
             if at_zero:
-                s_n += float((ovl2 / (mass * om2)).sum())
+                s_n = static_n
             else:
                 den = mass * (om2 - omega * omega - 1j * om2 * phi)
                 s_n += complex((ovl2 / den).sum())
@@ -432,7 +459,10 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
         total += s_n
         tail_abs += tail_n
         per_n.append(s_n)
-    return _oracle_result(total, omega, modes_used, tail_abs, per_n, policy)
+        mid, err, met = _n_tail(np.array([float(n)]), np.array([static_n]), np.array([total]),
+                                k_inf, omega * omega / om_m2, phi, policy.epsilon)
+        if met[0] or n == policy.n_max:
+            return _oracle_result(total, omega, modes_used, tail_abs, per_n, policy, (mid[0], err[0].item()))
 
 
 def _outcome(chi, *args):
@@ -477,7 +507,8 @@ def test_centered_sum_matches_oracle(thickness, waist):
 
 @pytest.mark.parametrize(
     "waist, max_modes",
-    [(0.02, 1), (0.02, 100), (0.02, 12_900), (0.001, 5_000), (0.001, 200_000)],
+    # at 2,100 the budget runs out at family 29, where the n-tail would stop the sum at 2.7e5 rad/s
+    [(0.02, 1), (0.02, 100), (0.02, 2_100), (0.001, 5_000), (0.001, 200_000)],
 )
 def test_centered_budget_overrun_matches_oracle(geo, waist, max_modes):
     policy = TruncationPolicy(max_modes=max_modes)
@@ -620,8 +651,8 @@ def _direct_family_sums(geometry, beam, n_max, omega=0.0, loss_angle=0.0):
     om_m2 = fundamental_frequency(geometry) ** 2
     curv = (2.0 / math.pi) * math.sqrt(geometry.thickness / geometry.curvature_radius)
     n = np.arange(1.0, n_max + 1.0)
-    beta, _, _, c0 = mehler_parameters(geometry, beam, n)
-    g1 = c0 / (1.0 - beta * beta)
+    beta, _, _, c0, gap = mehler_parameters(geometry, beam, n)
+    g1 = c0 / (gap * (1.0 + beta))
     sums = np.zeros(n_max, dtype=complex if omega else float)
     traced, left = np.zeros(n_max), np.zeros(n_max)
     w2, loss = omega * omega, 1.0 - 1j * loss_angle
@@ -648,18 +679,24 @@ def _direct_family_sums(geometry, beam, n_max, omega=0.0, loss_angle=0.0):
     return sums, left <= 1e-12 * np.abs(sums), left
 
 
+def _head(res):
+    """The sum over a result's families n <= N, without the n-tail past N."""
+    return res.value - res.n_tail
+
+
 def assert_zero_frequency_offaxis(geometry, beam, res, policy):
     """An omega = 0 off-axis result against the direct shell sums of its
     families, within 1e-10; a family whose direct sum is incomplete is checked
     against the mpmath quadrature of its t-form instead."""
-    direct, complete, _ = _direct_family_sums(geometry, beam, policy.n_max)
+    direct, complete, _ = _direct_family_sums(geometry, beam, len(res.per_n))
     for n in np.flatnonzero(~complete) + 1:
         direct[n - 1] = family_shell_sum(geometry, beam, int(n))
     assert res.frequency == 0.0 and res.value.imag == 0.0
-    assert res.modes_used == 0 and res.tail_is_estimate and res.converged
+    assert res.modes_used == 0 and res.tail_is_estimate
+    assert res.converged or len(res.per_n) == policy.n_max
     assert all(type(s) is float for s in res.per_n)
     np.testing.assert_allclose(res.per_n, direct, rtol=1e-10, atol=0.0)
-    assert res.value.real == pytest.approx(direct.sum(), rel=1e-10)
+    assert _head(res).real == pytest.approx(direct.sum(), rel=1e-10, abs=0.0)
 
 
 def _integrated(geometry, omega, loss_angle, n_max):
@@ -702,8 +739,10 @@ def assert_offaxis_matches_oracle(geometry, beam, omegas, policy, loss_angle=1e-
     total, lies within the two results' tail_bounds of _oracle_chi_offaxis
     (the two sums cut the same shells at different places) wherever the
     oracle's extrapolated tail covers its own distance from the references;
-    where it runs short, the references alone pin the row.  The total, if
-    converged, lies within epsilon of the direct shell sums.
+    where it runs short, the references alone pin the row.  All of that holds
+    for the row's families n <= N, the head of its value, against the
+    oracle's first N families.  The value, if converged, lies within epsilon
+    of the direct shell sums plus the n-tail.
     Every omega = 0 row is checked against direct shell sums.  The budget
     changes nothing but whether the grid raises: it does exactly when some
     row needs more shells than max_modes, with the rows' own families below
@@ -727,25 +766,29 @@ def assert_offaxis_matches_oracle(geometry, beam, omegas, policy, loss_angle=1e-
     expected = _oracle_chi_offaxis(geometry, beam, [omegas[k] for k in rows], [loss_angle] * len(rows), unbudgeted)
     for k, want in zip(rows, expected):
         res = results[k]
-        assert got[2][k] == (complex, int, float, bool, [complex] * policy.n_max)
+        n_stop = len(res.per_n)
+        assert got[2][k] == (complex, int, float, bool, [complex] * n_stop)
         assert res.frequency == want.frequency and res.tail_is_estimate
-        integrated = _integrated(geometry, res.frequency, loss_angle, policy.n_max)
+        integrated = _integrated(geometry, res.frequency, loss_angle, n_stop)
         assert (res.modes_used == 0) == integrated.all()
-        direct, complete, _ = _direct_family_sums(geometry, beam, policy.n_max, res.frequency, loss_angle)
-        ref, err = _reference_family_sums(geometry, beam, policy.n_max, res.frequency, loss_angle)
-        per_n = np.array(res.per_n)
+        all_ref, all_err = _reference_family_sums(geometry, beam, policy.n_max, res.frequency, loss_angle)
+        direct, complete, _ = _direct_family_sums(geometry, beam, n_stop, res.frequency, loss_angle)
+        ref, err = all_ref[:n_stop], all_err[:n_stop]
+        per_n, head = np.array(res.per_n), _head(res)
         np.testing.assert_allclose(per_n[integrated], ref[integrated], rtol=1e-10, atol=0.0)
         if integrated.all():
-            assert res.value == pytest.approx(ref.sum(), rel=1e-10)
+            assert head == pytest.approx(ref.sum(), rel=1e-10, abs=0.0)
             continue
         res_tail, want_tail = res.tail_bound * abs(res.value), want.tail_bound * abs(want.value)
         assert abs((per_n - ref)[~integrated].sum()) <= res_tail + err[~integrated].sum()
         tol = want_tail + res_tail
-        if abs(want.value - ref.sum()) <= tol + err.sum():
-            assert np.all(np.abs(per_n[~integrated] - np.array(want.per_n)[~integrated]) <= tol)
-            assert abs(res.value - want.value) <= tol
+        want_per_n = np.array(want.per_n)[:n_stop]
+        if abs(want.value - all_ref.sum()) <= tol + all_err.sum():
+            assert np.all(np.abs(per_n[~integrated] - want_per_n[~integrated]) <= tol)
+            assert abs(head - want_per_n.sum()) <= tol
         if res.converged and complete.all():
-            assert abs(res.value - direct.sum()) <= policy.epsilon * abs(direct.sum())
+            truth = direct.sum() + res.n_tail
+            assert abs(res.value - truth) <= policy.epsilon * abs(truth)
     zero = [results[k] for k in range(len(omegas)) if k not in rows]
     if zero:
         assert_zero_frequency_offaxis(geometry, beam, zero[0], policy)
@@ -823,14 +866,16 @@ def test_offaxis_sum_matches_oracle_property(waist, offset, epsilon, omegas):
 
 
 def assert_tail_bounds_error(geometry, beam, omega, loss_angle, policy):
-    """A row at omega > 0 with families summed by shells lies within its
-    tail_bound of the families' whole shell sums: complete direct shell sums,
-    or the mpmath quadrature where those are incomplete."""
+    """The families n <= N of a row at omega > 0 with families summed by
+    shells lie within the row's tail_bound, less the n-tail's part, of the
+    families' whole shell sums: complete direct shell sums, or the mpmath
+    quadrature where those are incomplete."""
     ref, err = _reference_family_sums(geometry, beam, policy.n_max, omega, loss_angle)
     assert np.all(err <= 1e-12 * np.abs(ref))
     res = effective_susceptibility(geometry, beam, omega, loss_angle, policy)
     assert res.modes_used > 0
-    assert abs(res.value - ref.sum()) <= res.tail_bound * abs(res.value)
+    families_tail = (res.tail_bound - res.n_tail_bound) * abs(res.value)
+    assert abs(_head(res) - ref[: len(res.per_n)].sum()) <= families_tail
 
 
 @pytest.mark.parametrize(
@@ -885,10 +930,11 @@ def test_past_peak_of_zero_rows():
 def test_offaxis_families_with_zero_heads_are_summed(geo):
     # at w0 1 mm, d 18.5 cm (x up to 1,466) the table reads families 197-200
     # as 0 out to the 60,000-shell cap: their scaled T_0 is subnormal.  Their
-    # integrals still hold them, to the digits of an mpmath quadrature
+    # integrals still hold them, to the digits of an mpmath quadrature.  The
+    # n-tail of so narrow a beam meets its share past n = 200 only
     beam = BeamSpec(waist=0.001, offset=0.185)
-    res = effective_susceptibility(geo, beam)
-    assert res.converged and res.modes_used == 0
+    res = effective_susceptibility(geo, beam, policy=TruncationPolicy(n_max=1000))
+    assert res.converged and res.modes_used == 0 and 200 < len(res.per_n) < 1000
     for n in (150, 197, 198, 199, 200):
         assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
 
@@ -900,7 +946,9 @@ def test_offaxis_convergence_study_saturates_at_chi0_far_off_axis(geo):
     # holds; families 1-7 reach SHELL_CAP, whose rest is below 1e-4 of chi0
     beam = BeamSpec(waist=0.001, offset=0.185)
     saturated = convergence_study(geo, beam, 1e-6, [10**12])[0][1]
-    assert saturated == pytest.approx(effective_susceptibility(geo, beam).value.real, rel=1e-4)
+    families = effective_susceptibility(geo, beam, policy=EVERY_FAMILY)  # the study's 200 families
+    assert len(families.per_n) == 200
+    assert saturated == pytest.approx(_head(families).real, rel=1e-4, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -926,11 +974,13 @@ def test_offaxis_convergence_study_saturates_at_chi0_far_off_axis(geo):
 def test_offaxis_family_integrals_match_direct_sums(thickness, waist, offset):
     geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
     beam = BeamSpec(waist=waist, offset=offset)
-    res = effective_susceptibility(geometry, beam)
+    # at epsilon 1e-9 the n-tail meets its share past n = 200 only: every family is summed
+    res = effective_susceptibility(geometry, beam, policy=TruncationPolicy(epsilon=1e-9))
     direct, complete, _ = _direct_family_sums(geometry, beam, 200)
     assert complete.sum() >= 190  # narrow beams' lowest families run past SHELL_CAP
+    assert len(res.per_n) == 200
     np.testing.assert_allclose(np.array(res.per_n)[complete], direct[complete], rtol=1e-10, atol=0.0)
-    assert res.converged and res.modes_used == 0 and res.tail_bound <= 1e-13
+    assert res.modes_used == 0 and res.tail_bound - res.n_tail_bound <= 1e-13
     if waist == 0.06:
         assert (mehler_parameters(geometry, beam, np.arange(1.0, 201.0))[0] < -0.5).any()
 
@@ -949,26 +999,26 @@ def test_offaxis_family_integral_branches(geo):
         assert beta_range[0] <= beta <= beta_range[1]
         for policy in (TruncationPolicy(), TruncationPolicy(n_max=1)):
             res = effective_susceptibility(geo, beam, 0.0, policy=policy)
-            assert len(res.per_n) == policy.n_max
+            assert len(res.per_n) <= policy.n_max
             assert_zero_frequency_offaxis(geo, beam, res, policy)
         assert res.per_n[0] == pytest.approx(family_shell_sum(geo, beam, 1), rel=1e-12)
-        res = effective_susceptibility(geo, beam)
+        res = effective_susceptibility(geo, beam, policy=EVERY_FAMILY)
         assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
         # at 1e6 rad/s family n >= 10 is integrated as a Taylor series over the same branch
         assert_family_matches_mpmath(geo, beam, 1e6, 1e-6, n)
 
 
-def _family_integrals_by_expressions(beta, x, a1, pieces, plain, moments):
+def _family_integrals_by_expressions(beta, gap, x, a1, pieces, plain, moments):
     """_family_integrals with a fresh array per operation: the same arithmetic
     in the same order, written as plain numpy expressions."""
     nodes, weights = _gauss_legendre()
     if plain:
         lo, hi, jac = np.zeros_like(beta), np.ones_like(beta), 1.0
     else:
-        lo, hi, jac = np.log1p(-beta), np.log1p(beta), 0.5 / beta
+        lo, hi, jac = np.log(gap), np.log1p(beta), 0.5 / beta
     width = (hi - lo) / pieces
     xj = x * jac
-    beta, x, xj, a1, lo, col = (a[:, None] for a in (beta, x, xj, a1, lo, width))
+    beta, gap, x, xj, a1, lo, col = (a[:, None] for a in (beta, gap, x, xj, a1, lo, width))
     total = np.zeros((moments, len(beta)))
     for k in range(pieces):
         var = lo + col * (k + nodes)
@@ -978,11 +1028,11 @@ def _family_integrals_by_expressions(beta, x, a1, pieces, plain, moments):
         else:
             e = np.exp(var)
             log_t = np.log(((1.0 + beta) - e) / (beta * (1.0 + beta + e)))
-            log_f = a1 * log_t - xj * (e - (1.0 - beta))
+            log_f = a1 * log_t - xj * (e - gap)
         f = np.exp(np.maximum(log_f, -700.0))
         if plain:
-            f /= 1.0 - beta + 2.0 * beta * var
-        total[0] += f @ weights
+            f /= gap + 2.0 * beta * var
+        total[0] += np.einsum("fj,j->f", f, weights)
         for j in range(1, moments):
             f *= -log_t
             total[j] += f @ weights
@@ -997,18 +1047,19 @@ def test_family_integrals_in_place_equal_expressions(geo, waist, offset, plain):
     # several beams of one waist (a row of x each) in one call: each row is
     # == to the expressions on that row alone
     n = np.arange(1.0, 201.0)
-    beta = mehler_parameters(geo, BeamSpec(waist=waist, offset=offset), n)[0]
+    beta, _, _, _, gap = mehler_parameters(geo, BeamSpec(waist=waist, offset=offset), n)
     x = np.array([mehler_parameters(geo, BeamSpec(waist=waist, offset=d), n)[2]
                   for d in (offset, offset / 2.0, offset / 7.0)])
     if plain:  # the plain-u form's range, beta = 0 included
         beta = np.linspace(-9e-4, 9e-4, len(n))
+        gap = 1.0 - beta
     a1 = n / spectrum_constants(geo)[1]
     for pieces in (8, 4):
         for moments in (1, 6):
-            got = _family_integrals(beta, x, a1, pieces, plain, moments)
+            got = _family_integrals(beta, gap, x, a1, pieces, plain, moments)
             assert got.shape == (len(x), moments, len(n))
             for got_b, x_b in zip(got, x):
-                np.testing.assert_array_equal(got_b, _family_integrals_by_expressions(beta, x_b, a1, pieces,
+                np.testing.assert_array_equal(got_b, _family_integrals_by_expressions(beta, gap, x_b, a1, pieces,
                                                                                      plain, moments))
 
 
@@ -1016,7 +1067,7 @@ def assert_family_matches_mpmath(geometry, beam, omega, loss_angle, n):
     """Family n, integrated at omega, within 1e-12 of the mpmath quadrature of
     its t-form, in its real and its imaginary part."""
     assert _integrated(geometry, omega, loss_angle, n)[-1]
-    got = effective_susceptibility(geometry, beam, omega, loss_angle).per_n[n - 1]
+    got = effective_susceptibility(geometry, beam, omega, loss_angle, EVERY_FAMILY).per_n[n - 1]
     want = family_shell_sum(geometry, beam, n, omega, loss_angle)
     assert got.real == pytest.approx(want.real, rel=1e-12)
     assert got.imag == pytest.approx(want.imag, rel=1e-12)
@@ -1073,3 +1124,179 @@ def test_offaxis_zero_frequency_builds_no_table(geo, monkeypatch):
     assert not built and res[1].modes_used == 0
     res = effective_susceptibility_grid(geo, beam, [0.0, 2.7e5])
     assert [args[2] for args in built] == [range(1, 2)] and res[1].modes_used > 0
+
+
+@pytest.mark.parametrize("waist", [1e-4, 3e-5])
+def test_narrow_beam_family_integral_matches_mpmath(geo, waist):
+    # 1 - beta = 1 / (0.5 + g) comes exact from mehler_parameters; formed as
+    # 1 - beta it lost 3.9e-12 (0.1 mm) and 3.8e-11 (30 um) of family 1
+    om_m2, curv = spectrum_constants(geo)
+    beam = BeamSpec(waist=waist)
+    (value,), _, scale = _offaxis_integrals(geo, [beam], om_m2, curv, np.array([1.0]), 1)
+    want = family_shell_sum(geo, beam, 1)
+    assert abs(scale[0] * value[0, 0] - want) <= 1e-13 * want
+
+
+# ---------------------------------------------------------------------------
+# The n-tail: the families past the stop N in closed form (_n_tail)
+# ---------------------------------------------------------------------------
+
+
+def test_exp_e1_matches_mpmath():
+    # both branches, the switch at z = 1 and the z of the standard beams (21-57)
+    for z in (1e-3, 0.3, 0.999, 1.0, 2.0, 21.0, 57.0, 430.0, 7e4):
+        with mp.workdps(30):
+            want = float(mp.exp(z) * mp.e1(z))
+        assert _exp_e1(z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_power_tails_match_mpmath():
+    # sum_{m > N} 1/m^k for k = 2, 3, 4
+    n = np.arange(0.0, 600.0)
+    sums = _power_tails(n)
+    for big_n in (0, 1, 7, 31, 255, 256, 599):
+        with mp.workdps(30):
+            want = [float(mp.psi(k - 1, big_n + 1) * (-1) ** k / mp.factorial(k - 1)) for k in (2, 3, 4)]
+        for column, value in zip(sums, want):
+            assert column[big_n] == pytest.approx(value, rel=1e-14, abs=0.0)
+        # each value depends on its own N alone, not on the run it is read in
+        assert [column[0] for column in _power_tails(n[big_n : big_n + 1])] == [column[big_n] for column in sums]
+
+
+@pytest.mark.parametrize(
+    "thickness, waist, offset",
+    [(0.07, 0.02, 0.0), (0.07, 0.001, 0.0), (0.12, 0.06, 0.0), (0.07, 0.02, 0.05), (0.04, 0.005, 0.185),
+     (0.12, 0.001, 0.01)],
+)
+def test_n_tail_constant_matches_mpmath(thickness, waist, offset):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    with mp.workdps(30):
+        h, radius = mp.mpf(geometry.thickness), mp.mpf(geometry.curvature_radius)
+        om_m2 = (mp.pi * geometry.material.sound_velocity / h) ** 2
+        k0 = 2 / (mp.pi * geometry.material.density * h * mp.mpf(waist) ** 2 * om_m2)
+        z, shift = 4 * h * radius / mp.mpf(waist) ** 2, mp.mpf(offset) ** 2 / (h * radius)
+        want = float(k0 * mp.quad(lambda t: mp.exp(-t - t * z / (z + t) * shift) * z / (z + t), [0, 1, 10, mp.inf]))
+    assert _n_tail_constant(geometry, waist, offset) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _fine_family_sums(geometry, beam, n_max=2000, pieces=32):
+    """Each family's omega = 0 sum for n <= n_max, by the library's integral
+    (_family_integrals) on `pieces` equal pieces, four times the library's
+    eight, and an error estimate from twice as many; and K psi'(n_max + 1),
+    the families past n_max.  The eight-piece rule misreads the families past
+    n ~ 300 of beams narrower than about 5 mm (by 5-19 times the n-tail's
+    half-width at h 4 cm), so a library run to n_max 4000 cannot serve as
+    the reference there."""
+    om_m2, curv = spectrum_constants(geometry)
+    n = np.arange(1.0, n_max + 1.0)
+    beta, _, x, c0, gap = mehler_parameters(geometry, beam, n)
+    sums = []
+    for rule in (pieces, 2 * pieces):
+        value = np.empty(n_max)
+        for plain in (True, False):
+            f = np.flatnonzero((np.abs(beta) < 1e-3) == plain)
+            if len(f):
+                value[f] = _family_integrals(beta[f], gap[f], x[None, f], n[f] / curv, rule, plain, 1)[0, 0]
+        sums.append(c0 / (om_m2 * curv * n) * value)
+    beyond = _n_tail_constant(geometry, beam.waist, beam.offset) * _power_tails(np.array([float(n_max)]))[0][0]
+    return sums[0], np.abs(sums[0] - sums[1]), beyond
+
+
+@given(
+    thickness=st.floats(min_value=0.04, max_value=0.12),
+    waist=st.floats(min_value=0.002, max_value=0.06),
+    offset=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.2)),
+    epsilon=st.sampled_from([1e-2, 1e-3, 1e-4]),
+)
+@settings(max_examples=12, deadline=None)
+@example(thickness=0.04, waist=0.002, offset=0.2, epsilon=1e-4)  # the narrowest, farthest off axis
+@example(thickness=0.12, waist=0.06, offset=0.0, epsilon=1e-2)  # stops at N = 4
+def test_n_tail_bracket_holds(thickness, waist, offset, epsilon):
+    # the true sum of the families past the stop N lies within the n-tail's
+    # half-width of its midpoint
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=min(offset, 0.95 * geometry.diameter / 2.0 - waist))
+    res = effective_susceptibility(geometry, beam, policy=TruncationPolicy(epsilon=epsilon, max_modes=10**8))
+    families, errors, beyond = _fine_family_sums(geometry, beam)
+    n_stop, half = len(res.per_n), res.n_tail_bound * abs(res.value)
+    assert errors[n_stop:].sum() <= 1e-3 * half
+    assert abs(families[n_stop:].sum() + beyond - res.n_tail.real) <= half
+    assert res.n_tail.imag == 0.0 and res.tail_is_estimate
+
+
+@given(
+    thickness=st.floats(min_value=0.04, max_value=0.12),
+    waist=st.floats(min_value=0.005, max_value=0.06),
+    offset=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.2)),
+    epsilon=st.floats(min_value=1e-5, max_value=1e-2),
+)
+@settings(max_examples=12, deadline=None)
+def test_converged_chi0_within_epsilon_of_the_infinite_sum(thickness, waist, offset, epsilon):
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=min(offset, 0.95 * geometry.diameter / 2.0 - waist))
+    res = effective_susceptibility(geometry, beam, policy=TruncationPolicy(epsilon=epsilon))
+    families, _, beyond = _fine_family_sums(geometry, beam)
+    truth = families.sum() + beyond
+    if res.converged:
+        assert abs(res.value.real - truth) <= epsilon * truth
+    else:  # only where the n-tail has not met its share by n_max
+        assert len(res.per_n) == 200
+
+
+@pytest.mark.parametrize(
+    "thickness, waist, offset",
+    [(0.07, 0.02, 0.0), (0.04, 0.055, 0.0), (0.12, 0.01, 0.0), (0.07, 0.02, 0.03), (0.12, 0.03, 0.11),
+     (0.04, 0.01, 0.05)],
+)
+def test_converged_grid_rows_within_epsilon_of_the_infinite_sum(thickness, waist, offset):
+    # 12 points across the fundamental resonance up to 1e6 rad/s, against
+    # rows summed to n_max 2000 at epsilon 1e-8
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=offset)
+    omegas = [float(omega) for omega in np.geomspace(2e2, 1e6, 12)]
+    policy = TruncationPolicy()
+    rows = effective_susceptibility_grid(geometry, beam, omegas, 1e-6, policy)
+    refs = effective_susceptibility_grid(geometry, beam, omegas, 1e-6,
+                                         TruncationPolicy(n_max=2000, epsilon=1e-8, max_modes=10**8))
+    for row, ref in zip(rows, refs):
+        assert ref.tail_bound <= 1e-3 * policy.epsilon
+        if row.converged:
+            assert abs(row.value - ref.value) <= policy.epsilon * abs(ref.value)
+    assert sum(row.converged for row in rows) >= 10
+
+
+@pytest.mark.parametrize("waist, offset", [(0.02, 0.03), (0.055, 0.11), (0.005, 0.03), (0.01, 0.185)])
+def test_n_max_is_a_ceiling(geo, waist, offset):
+    # off axis at omega = 0 a family's integral does not depend on n_max, so
+    # a sum that stops below 200 is == at the ceilings 200 and 400
+    beam = BeamSpec(waist=waist, offset=offset)
+    res = effective_susceptibility(geo, beam)
+    assert len(res.per_n) < 200 and res.converged
+    assert effective_susceptibility(geo, beam, policy=TruncationPolicy(n_max=400)) == res
+    # a centered family's blocks, and a shelled one's shells, meet targets
+    # epsilon |total| / (2 n_max): there the two agree within their tails
+    for b, omega in ((BeamSpec(waist=waist), 0.0), (BeamSpec(waist=waist), 3e5), (beam, 3e5), (beam, 1e6)):
+        low, high = (effective_susceptibility(geo, b, omega, 1e-6, TruncationPolicy(n_max=n_max))
+                     for n_max in (200, 400))
+        assert len(low.per_n) < 200
+        assert abs(low.value - high.value) <= low.tail_bound * abs(low.value) + high.tail_bound * abs(high.value)
+
+
+def test_family_runs_equal_one_pass(geo):
+    # moment 0 of each family, and its check, do not depend on the families
+    # or beams that share the pass; at omega > 0 a grid integrates all
+    # n_max families in one pass, which serves its omega = 0 rows too
+    om_m2, curv = spectrum_constants(geo)
+    n = np.arange(1.0, 301.0)
+    plain = math.sqrt(2.0 * acoustic_waist_sq(geo, 50.0))  # beta_50 = 0: both forms in one pass
+    for waist in (0.001, 0.02, plain):
+        beams = [BeamSpec(waist=waist, offset=d) for d in (0.01, 0.05, 0.1)]
+        value, check, scale = _offaxis_integrals(geo, beams, om_m2, curv, n, 1)
+        for lo, hi in ((0, 32), (32, 96), (96, 224), (224, 300), (5, 17)):
+            part, part_check, part_scale = _offaxis_integrals(geo, beams[1:], om_m2, curv, n[lo:hi], 3)
+            assert np.array_equal(part[:, 0], value[1:, 0, lo:hi])
+            assert np.array_equal(part_check[:, 0], check[1:, 0, lo:hi])
+            assert np.array_equal(part_scale, scale[lo:hi])
+        for d in (0.01, 0.1):
+            beam = BeamSpec(waist=waist, offset=d)
+            assert effective_susceptibility_grid(geo, beam, [0.0, 3e5], 1e-6)[0] == effective_susceptibility(geo, beam)

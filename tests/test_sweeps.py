@@ -95,7 +95,10 @@ def test_offset_sweep_rows_equal_single_point_calls(geo, waist, monkeypatch):
     integrals = susceptibility._offaxis_integrals
     monkeypatch.setattr(susceptibility, "_offaxis_integrals", lambda *a: calls.append(a) or integrals(*a))
     rows = run_sweep(spec)
-    assert len(calls) == 1 and len(calls[0][1]) == 6  # one quadrature pass, every offset but d = 0
+    # one quadrature pass per run of families (32, 64, then the rest of 200),
+    # the first for every offset but d = 0, each later one for the offsets still summing
+    assert 1 <= len(calls) <= 3 and len(calls[0][1]) == 6
+    assert all(len(beams) <= len(prev) for (_, prev, *_), (_, beams, *_) in zip(calls, calls[1:]))
     monkeypatch.undo()
     offsets = [row.value for row in rows]
     assert offsets[0] == 0.0 and rows[0].modes_used > 0  # the centered path
@@ -104,6 +107,21 @@ def test_offset_sweep_rows_equal_single_point_calls(geo, waist, monkeypatch):
         one = effective_susceptibility(*spec.operating_point(d), policy=spec.policy)
         if res is not None:
             assert res == one  # value, tail_bound, per_n, converged and the rest
+        assert (row.chi0, row.modes_used, row.tail_bound, row.converged) == (
+            one.value.real, one.modes_used, one.tail_bound, one.converged)
+
+
+@pytest.mark.parametrize("parameter", ["thickness", "offset"])
+def test_sweep_solves_each_point_once(monkeypatch, parameter):
+    solved = []
+    solve = sweeps.solve_geometry
+    monkeypatch.setattr(sweeps, "solve_geometry", lambda *args: solved.append(args) or solve(*args))
+    spec = SweepSpec(parameter=parameter, lo=0.04 if parameter == "thickness" else 0.0, hi=0.1, points=4)
+    rows = run_sweep(spec)
+    assert len(solved) == 4
+    monkeypatch.undo()
+    for row in rows:
+        one = effective_susceptibility(*spec.operating_point(row.value), policy=spec.policy)
         assert (row.chi0, row.modes_used, row.tail_bound, row.converged) == (
             one.value.real, one.modes_used, one.tail_bound, one.converged)
 
@@ -164,8 +182,10 @@ def test_convergence_nondecreasing_and_saturating(geo):
     pairs = convergence_study(geo, beam, 1e-6, [1, 10, 100, 10_000, 1_000_000])
     values = [v for _, v in pairs]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    full = effective_susceptibility(geo, beam, policy=TruncationPolicy(epsilon=1e-9)).value.real
-    assert values[-1] == pytest.approx(full, rel=1e-6)
+    # the study's 200 families, without the n-tail past them
+    full = effective_susceptibility(geo, beam, policy=TruncationPolicy(epsilon=1e-9))
+    assert len(full.per_n) == 200
+    assert values[-1] == pytest.approx(sum(full.per_n), rel=1e-6, abs=0.0)
 
 
 def test_convergence_requires_increasing_checkpoints(geo):
@@ -200,8 +220,10 @@ def test_convergence_offaxis_checkpoints(geo):
         pairs = convergence_study(geo, beam, 1e-6, checkpoints)
         values = [v for _, v in pairs]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        ref = effective_susceptibility(geo, beam).value.real
-        assert values[-1] == pytest.approx(ref, rel=rel)
+        # the study's 200 families, without the n-tail past them
+        ref = effective_susceptibility(geo, beam, policy=TruncationPolicy(epsilon=1e-9))
+        assert len(ref.per_n) == 200
+        assert values[-1] == pytest.approx(sum(ref.per_n), rel=rel)
 
 
 def test_compare_report_reference_waists(geo):
