@@ -163,11 +163,15 @@ def _result(value, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy,
 #: a modal sum takes its families in runs: this many first, then each run
 #: twice as long as the one before, up to the ceiling n_max
 _FIRST_RUN = 32
+#: the centered walk's first run: a run costs it more than its families do,
+#: and the stops of 1-3 cm beams lie past family 32
+_CENTERED_FIRST_RUN = 64
 
 
-def _family_runs(cap):
-    """(lo, hi): the runs of families lo + 1..hi up to family cap."""
-    lo, size = 0, _FIRST_RUN
+def _family_runs(cap, first=_FIRST_RUN):
+    """(lo, hi): the runs of families lo + 1..hi up to family cap, the first
+    of them first long."""
+    lo, size = 0, first
     while lo < cap:
         yield lo, min(lo + size, cap)
         lo, size = lo + size, 2 * size
@@ -378,6 +382,22 @@ def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1), static
 
 
+#: families summed alone that the centered walk holds back before it takes them
+_PENDING_MAX = 8
+
+
+def _take_pending(families, pending, sums=(), statics=(), tails=(), modes=()):
+    """families.take of the families summed alone in pending, then of a
+    vector step's; the modes used up to the family where the sum stops, or
+    None."""
+    if pending:
+        alone = list(zip(*pending))
+        sums, statics, tails = (np.concatenate((a, b)) for a, b in zip(alone, (sums, statics, tails)))
+        modes = [*alone[3], *modes]
+    stop = families.take(sums, statics, tails)
+    return None if stop is None else int(modes[stop])
+
+
 @np.errstate(divide="ignore")  # the tail of a degenerate beam is inf
 def _chi_centered(geometry, beam, omega, phi, policy):
     """Modal sum for a centered beam: l = 0 cosine modes only, closed-form
@@ -390,7 +410,8 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     suffices in one vector step, up to the next one that needs a further
     block, which it sums alone before walking on.  Each family also sums its
     terms at omega = 0, for the n-tail; the walk stops at the family where
-    the n-tail meets its share (_Families).
+    the n-tail meets its share (_Families), to which it hands the families
+    summed alone a few at a time (_take_pending).
     """
     om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
@@ -398,7 +419,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     families = _Families(_n_tail_constant(geometry, beam.waist, 0.0), omega, phi, om_m2, policy)
     total, used = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0
     # a family past max_modes // first + 1 cannot be reached within the budget
-    for lo, hi in _family_runs(min(policy.n_max, policy.max_modes // first + 1)):
+    for lo, hi in _family_runs(min(policy.n_max, policy.max_modes // first + 1), _CENTERED_FIRST_RUN):
         n = np.arange(lo + 1.0, hi + 1.0)
         wn2 = acoustic_waist_sq(geometry, n)
         mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
@@ -419,8 +440,12 @@ def _chi_centered(geometry, beam, omega, phi, policy):
         # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
         tails = head / ((1.0 - q2) * mass * den)
 
-        k, walk = 0, True
+        # families summed alone wait in pending (sum, omega = 0 sum, tail, modes up to
+        # them) for the next vector step, the run's end or _PENDING_MAX of them: a
+        # take per family would cost more than its blocks
+        pending, k, walk = [], 0, True
         while k < len(n):
+            j = 0
             if walk:
                 # running totals in ascending n from family k on: every family up to
                 # the first whose first block falls short is done in one vector step
@@ -430,19 +455,26 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                 target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
                 done = (modes <= policy.max_modes) & (tails[k:] <= target)
                 j = len(done) if done.all() else int(np.argmin(done))
+            if j or len(pending) >= _PENDING_MAX:
+                stop = _take_pending(families, pending, sums[k : k + j], statics[k : k + j], tails[k : k + j],
+                                     modes[:j] if j else ())
+                if stop is not None:
+                    return families.result(omega, stop, policy)
+                pending = []
                 if j:
-                    stop = families.take(sums[k : k + j], statics[k : k + j], tails[k : k + j])
-                    if stop is not None:
-                        return families.result(omega, int(modes[stop]), policy)
                     total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
-                if k == len(n):
-                    break
+            if k == len(n):
+                break
             # that family alone: further blocks until its tail meets its target,
             # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
             s_n, static_n, p, tail_n = sums[k].item(), statics[k].item(), first, tails[k]
             n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
             while True:
                 if used + p > policy.max_modes:
+                    if pending:  # the sum may stop at a family still pending
+                        stop = _take_pending(families, pending)
+                        if stop is not None:
+                            return families.result(omega, stop, policy)
                     raise BudgetExceededError(
                         f"mode budget {policy.max_modes} exhausted at n={lo + k + 1}, p={p}",
                         partial=_result(total + s_n, omega, used + p, math.inf, False, families.per_n(), policy),
@@ -462,11 +494,14 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                     den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
                 tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
             total, used, k = total + s_n, used + p, k + 1
-            if families.take(np.array([s_n]), np.array([static_n]), np.array([tail_n])) is not None:
-                return families.result(omega, used, policy)
+            pending.append((s_n, static_n, float(tail_n), used))
             # walk on in vector steps once a family needs no further block; in a
             # narrow beam every family does, and each step would stop at once
             walk = p == first
+        if pending:
+            stop = _take_pending(families, pending)
+            if stop is not None:
+                return families.result(omega, stop, policy)
     # the last run ends at n_max, where _Families stops, or runs out of budget
     raise AssertionError("unreachable: the family loop ended without a stop")
 
@@ -706,6 +741,34 @@ def _chi0_offsets(geometry, waist, offsets, policy):
         if not todo:
             break
     return [s.result(0.0, 0, policy) for s in sums]
+
+
+def _n_tail_past(geometry, beam, n):
+    """The families past n at omega = 0 in closed form: _n_tail's midpoint,
+    from family n's own sum chi_n.  Off axis that is its moment-0 integral
+    by the coarser of _offaxis_integrals' rules: a relative error e in chi_n
+    moves the midpoint by about K e / (4 n).  Centered it is the sum of its
+    terms c^2 q^(2p) / (m Omega_{n,2p}^2) up to where their geometric rest
+    falls below 2^-53 of the first one, and 10^6 terms at most, as the
+    study's pool takes them."""
+    om_m2, curv = spectrum_constants(geometry)
+    if beam.offset > 0.0:
+        fam = np.array([float(n)])
+        beta, _, x, c0, gap = mehler_parameters(geometry, beam, fam)
+        value = _family_integrals(beta, gap, x[None], fam / curv, _GL_CHECK_PIECES, abs(beta.item()) < 1e-3, 1)
+        chi_n = (c0 / (om_m2 * curv * fam) * value[0, 0]).item()
+    else:
+        wn2, w02 = acoustic_waist_sq(geometry, float(n)), beam.waist * beam.waist
+        mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
+        c2 = (2.0 * wn2 / (2.0 * wn2 + w02)) ** 2
+        q2 = ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)) ** 2
+        count = 10**6
+        if q2 < 1.0:  # the terms past count add at most q^(2 count) / (1 - q^2) times the first
+            count = 1 if q2 == 0.0 else min(int(math.log(2.0**-53 * (1.0 - q2)) / math.log(q2)) + 2, count)
+        chi_n = _centered_block(om_m2, curv, float(n), mass, c2, q2, 0, count, 0.0, 0.0)[1].item()
+    k_inf = _n_tail_constant(geometry, beam.waist, beam.offset)
+    mid, _, _ = _n_tail(np.array([float(n)]), np.array([chi_n]), np.zeros(1), k_inf, 0.0, 0.0, 0.0)
+    return mid[0].item()
 
 
 def _chi_offaxis(geometry, beam, omegas, phis, policy):

@@ -26,6 +26,7 @@ from .susceptibility import (
     SusceptibilityResult,
     TruncationPolicy,
     _chi0_offsets,
+    _n_tail_past,
     check_count,
     effective_susceptibility,
 )
@@ -272,13 +273,16 @@ def convergence_study(
 ) -> list[tuple[int, float]]:
     """chi_eff[0] truncated to the first K modes, for each checkpoint K.
 
-    The canonical enumeration orders modes by decreasing zero-frequency
-    contribution (ties by ascending n then p), so checkpoint values form a
-    nondecreasing sequence whose first entry is the fundamental mode alone.
-    The terms are summed in that order, so a term below 2^-54 of the leading
-    one is below half an ulp of the running sum and rounds away (_POOL_FLOOR):
-    the pools leave such terms out, and checkpoints that reach past the terms
-    kept return the saturated value, as they would with every term.
+    The canonical enumeration orders the modes of the families n <= n_max by
+    decreasing zero-frequency contribution (ties by ascending n then p), so
+    checkpoint values form a nondecreasing sequence whose first entry is the
+    fundamental mode alone.  The terms are summed in that order, so a term
+    below 2^-54 of the leading one is below half an ulp of the running sum and
+    rounds away (_POOL_FLOOR): the pools leave such terms out.  A checkpoint
+    whose sum has reached that of every term kept, so that the families
+    n <= n_max have nothing left to add, also takes the families past n_max,
+    in closed form as effective_susceptibility does (_n_tail_past): it reads
+    the full chi0 rather than the n_max head.
     """
     check_count("n_max", n_max)
     checkpoints = list(checkpoints)
@@ -300,7 +304,13 @@ def convergence_study(
     # off axis the grains are degenerate shells of s//2 + 1 (cosine) modes
     counts = np.ones(len(terms), dtype=int) if centered else sub_ids[order] // 2 + 1
     taken = np.minimum(np.searchsorted(np.cumsum(counts), checkpoints) + 1, len(csum))
-    return [(k, float(csum[j - 1]) if j else 0.0) for k, j in zip(checkpoints, taken)]
+    values = [float(csum[j - 1]) for j in taken]
+    head = float(csum[-1])
+    if values[-1] == head:
+        # the families n <= n_max have nothing left to add: those past n_max follow
+        n_tail = _n_tail_past(geometry, beam, n_max)
+        values = [v + n_tail if v == head else v for v in values]
+    return list(zip(checkpoints, values))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from mirnoise.susceptibility import (
     _least_denominator,
     _n_tail,
     _n_tail_constant,
+    _n_tail_past,
     _offaxis_integrals,
     _power_tails,
     displacement_noise_spectrum,
@@ -518,6 +519,30 @@ def test_centered_budget_overrun_matches_oracle(geo, waist, max_modes):
             effective_susceptibility(geo, BeamSpec(waist=waist), omega, 1e-6, policy)
 
 
+@pytest.mark.parametrize("waist, max_modes", [(0.001, 10**8), (0.001, 300_000), (0.01, 10**8), (0.06, 10**8)])
+def test_centered_sum_does_not_depend_on_its_runs(geo, waist, max_modes, monkeypatch):
+    # the walk hands the families it sums alone to the stop rule in batches
+    # whose bounds move with the runs; the result, or the budget's partial
+    # result, does not
+    import mirnoise.susceptibility as susceptibility
+
+    def outcomes():
+        out = []
+        for omega in (0.0, 2.7e5):
+            try:
+                out.append(effective_susceptibility(geo, BeamSpec(waist=waist), omega,
+                                                    policy=TruncationPolicy(n_max=1000, max_modes=max_modes)))
+            except BudgetExceededError as err:
+                out.append((str(err), err.partial))
+        return out
+
+    ref = outcomes()
+    for first, pending in ((1, 1), (7, 3), (32, 100), (1000, 8)):
+        monkeypatch.setattr(susceptibility, "_CENTERED_FIRST_RUN", first)
+        monkeypatch.setattr(susceptibility, "_PENDING_MAX", pending)
+        assert outcomes() == ref
+
+
 @given(
     thickness=st.floats(min_value=0.04, max_value=0.12),
     waist=st.floats(min_value=0.002, max_value=0.06),
@@ -946,9 +971,10 @@ def test_offaxis_convergence_study_saturates_at_chi0_far_off_axis(geo):
     # holds; families 1-7 reach SHELL_CAP, whose rest is below 1e-4 of chi0
     beam = BeamSpec(waist=0.001, offset=0.185)
     saturated = convergence_study(geo, beam, 1e-6, [10**12])[0][1]
-    families = effective_susceptibility(geo, beam, policy=EVERY_FAMILY)  # the study's 200 families
+    # the study's 200 families and the n-tail past them
+    families = effective_susceptibility(geo, beam, policy=EVERY_FAMILY)
     assert len(families.per_n) == 200
-    assert saturated == pytest.approx(_head(families).real, rel=1e-4, abs=0.0)
+    assert saturated == pytest.approx(families.value.real, rel=1e-4, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1222,6 +1248,19 @@ def test_n_tail_bracket_holds(thickness, waist, offset, epsilon):
     assert errors[n_stop:].sum() <= 1e-3 * half
     assert abs(families[n_stop:].sum() + beyond - res.n_tail.real) <= half
     assert res.n_tail.imag == 0.0 and res.tail_is_estimate
+
+
+@pytest.mark.parametrize("thickness", [0.04, 0.12])
+@pytest.mark.parametrize("waist, offset", [(0.001, 0.0), (0.02, 0.0), (0.06, 0.0), (0.002, 0.15), (0.02, 0.025),
+                                           (0.055, 0.1)])
+def test_n_tail_past_matches_the_sums_n_tail(thickness, waist, offset):
+    # the convergence study's n-tail past n_max is the one a sum that stops at
+    # n_max adds, from its own sum of family n_max
+    geometry = solve_geometry(20.0, thickness, FUSED_SILICA)
+    beam = BeamSpec(waist=waist, offset=offset)
+    res = effective_susceptibility(geometry, beam, policy=TruncationPolicy(epsilon=1e-12, max_modes=10**8))
+    assert len(res.per_n) == 200
+    assert _n_tail_past(geometry, beam, 200) == pytest.approx(res.n_tail.real, rel=1e-10, abs=0.0)
 
 
 @given(
