@@ -92,7 +92,11 @@ def _coerce(key: str, value):
     if isinstance(value, str):
         default = DEFAULTS[key]
         if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes", "on")
+            if value.lower() in ("1", "true", "yes", "on"):
+                return True
+            if value.lower() in ("0", "false", "no", "off"):
+                return False
+            raise ValueError(f"config key {key} must be a boolean, got {value!r}")
         if isinstance(default, int):  # "1e6" is a count; "2.5" and "inf" are not
             number = float(value)
             if not number.is_integer():

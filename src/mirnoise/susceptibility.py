@@ -382,22 +382,6 @@ def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     return (ovl2 / (mass * (om2 - omega * omega - 1j * om2 * phi))).sum(axis=-1), static
 
 
-#: families summed alone that the centered walk holds back before it takes them
-_PENDING_MAX = 8
-
-
-def _take_pending(families, pending, sums=(), statics=(), tails=(), modes=()):
-    """families.take of the families summed alone in pending, then of a
-    vector step's; the modes used up to the family where the sum stops, or
-    None."""
-    if pending:
-        alone = list(zip(*pending))
-        sums, statics, tails = (np.concatenate((a, b)) for a, b in zip(alone, (sums, statics, tails)))
-        modes = [*alone[3], *modes]
-    stop = families.take(sums, statics, tails)
-    return None if stop is None else int(modes[stop])
-
-
 @np.errstate(divide="ignore")  # the tail of a degenerate beam is inf
 def _chi_centered(geometry, beam, omega, phi, policy):
     """Modal sum for a centered beam: l = 0 cosine modes only, closed-form
@@ -408,10 +392,11 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     the first block of every family of a run is one 2D array, a row per
     family; a walk in ascending n then takes the families whose first block
     suffices in one vector step, up to the next one that needs a further
-    block, which it sums alone before walking on.  Each family also sums its
-    terms at omega = 0, for the n-tail; the walk stops at the family where
-    the n-tail meets its share (_Families), to which it hands the families
-    summed alone a few at a time (_take_pending).
+    block, which it sums alone and writes back into the run's arrays before
+    walking on.  Each family also sums its terms at omega = 0, for the
+    n-tail.  Once the run is walked it goes to the stop rule (_Families) in
+    one take, which finds the family where the n-tail meets its share; a
+    budget overrun first takes the families walked before it.
     """
     om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
@@ -440,41 +425,32 @@ def _chi_centered(geometry, beam, omega, phi, policy):
         # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
         tails = head / ((1.0 - q2) * mass * den)
 
-        # families summed alone wait in pending (sum, omega = 0 sum, tail, modes up to
-        # them) for the next vector step, the run's end or _PENDING_MAX of them: a
-        # take per family would cost more than its blocks
-        pending, k, walk = [], 0, True
+        modes = np.zeros(len(n), dtype=int)  # the modes used up to each family
+        k, walk = 0, True
         while k < len(n):
-            j = 0
             if walk:
                 # running totals in ascending n from family k on: every family up to
                 # the first whose first block falls short is done in one vector step
                 # (hypot is Python's complex abs; numpy's can differ in the last bit)
                 totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
-                modes = used + first * np.arange(1, len(totals) + 1)
+                modes[k:] = used + first * np.arange(1, len(totals) + 1)
                 target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
-                done = (modes <= policy.max_modes) & (tails[k:] <= target)
+                done = (modes[k:] <= policy.max_modes) & (tails[k:] <= target)
                 j = len(done) if done.all() else int(np.argmin(done))
-            if j or len(pending) >= _PENDING_MAX:
-                stop = _take_pending(families, pending, sums[k : k + j], statics[k : k + j], tails[k : k + j],
-                                     modes[:j] if j else ())
-                if stop is not None:
-                    return families.result(omega, stop, policy)
-                pending = []
                 if j:
-                    total, used, k = totals[j - 1].item(), int(modes[j - 1]), k + j
-            if k == len(n):
-                break
+                    total, used, k = totals[j - 1].item(), int(modes[k + j - 1]), k + j
+                if k == len(n):
+                    break
             # that family alone: further blocks until its tail meets its target,
             # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
             s_n, static_n, p, tail_n = sums[k].item(), statics[k].item(), first, tails[k]
             n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
             while True:
                 if used + p > policy.max_modes:
-                    if pending:  # the sum may stop at a family still pending
-                        stop = _take_pending(families, pending)
-                        if stop is not None:
-                            return families.result(omega, stop, policy)
+                    # the sum may stop at a family walked before the overrun
+                    stop = families.take(sums[:k], statics[:k], tails[:k]) if k else None
+                    if stop is not None:
+                        return families.result(omega, int(modes[stop]), policy)
                     raise BudgetExceededError(
                         f"mode budget {policy.max_modes} exhausted at n={lo + k + 1}, p={p}",
                         partial=_result(total + s_n, omega, used + p, math.inf, False, families.per_n(), policy),
@@ -493,15 +469,15 @@ def _chi_centered(geometry, beam, omega, phi, policy):
                 if omega > 0.0:
                     den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
                 tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
-            total, used, k = total + s_n, used + p, k + 1
-            pending.append((s_n, static_n, float(tail_n), used))
+            total, used = total + s_n, used + p
+            sums[k], statics[k], tails[k], modes[k] = s_n, static_n, tail_n, used
+            k += 1
             # walk on in vector steps once a family needs no further block; in a
             # narrow beam every family does, and each step would stop at once
             walk = p == first
-        if pending:
-            stop = _take_pending(families, pending)
-            if stop is not None:
-                return families.result(omega, stop, policy)
+        stop = families.take(sums, statics, tails)
+        if stop is not None:
+            return families.result(omega, int(modes[stop]), policy)
     # the last run ends at n_max, where _Families stops, or runs out of budget
     raise AssertionError("unreachable: the family loop ended without a stop")
 

@@ -30,8 +30,8 @@ def test_geometry_command(capsys):
     code, out, _ = run_cli(capsys, "geometry", "--mass", "20", "--thickness", "0.07")
     assert code == 0
     values = parse_kv(out)
-    assert float(values["curvature_radius"]) == pytest.approx(0.6139, rel=1e-3)
-    assert float(values["diameter"]) == pytest.approx(0.5694, rel=1e-3)
+    assert float(values["curvature_radius"]) == pytest.approx(0.6139, rel=1e-3, abs=0.0)
+    assert float(values["diameter"]) == pytest.approx(0.5694, rel=1e-3, abs=0.0)
     assert values["paraxial_warning"] == "0"
 
 
@@ -46,7 +46,7 @@ def test_chi0_command(capsys):
     code, out, _ = run_cli(capsys, "chi0")
     assert code == 0
     values = parse_kv(out)
-    assert float(values["chi0"]) == pytest.approx(1.113e-10, rel=1e-3)
+    assert float(values["chi0"]) == pytest.approx(1.113e-10, rel=1e-3, abs=0.0)
     assert values["converged"] == "1"
 
 
@@ -67,10 +67,10 @@ def test_config_file_and_override(tmp_path, capsys):
     cfg.write_text("waist = 0.055\nmass = 20\n# comment line\n")
     code, out, _ = run_cli(capsys, "chi0", "--config", str(cfg))
     assert code == 0
-    assert float(parse_kv(out)["chi0"]) == pytest.approx(2.389e-11, rel=1e-2)
+    assert float(parse_kv(out)["chi0"]) == pytest.approx(2.389e-11, rel=1e-2, abs=0.0)
     # explicit flag wins over the file
     code, out, _ = run_cli(capsys, "chi0", "--config", str(cfg), "--waist", "0.02")
-    assert float(parse_kv(out)["chi0"]) == pytest.approx(1.113e-10, rel=1e-3)
+    assert float(parse_kv(out)["chi0"]) == pytest.approx(1.113e-10, rel=1e-3, abs=0.0)
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -94,6 +94,27 @@ def test_non_integer_config_count_exit_code(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error: config key ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("word, in_waists", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                                             ("0", False), ("False", False), ("NO", False), ("Off", False)])
+def test_config_boolean_words(tmp_path, capsys, word, in_waists):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"offset_in_waists = {word}\noffset = 0.1\n")
+    code, out, _ = run_cli(capsys, "chi0", "--config", str(cfg))
+    offset = ("--offset", "0.1", "--offset-in-waists") if in_waists else ("--offset", "0.1")
+    assert code == 0
+    assert out == run_cli(capsys, "chi0", *offset)[1]
+
+
+def test_misspelt_config_boolean_exit_code(tmp_path, capsys):
+    # read as False, "ture" would put the beam 0.1 m off axis instead of 0.1 waists
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("offset_in_waists = ture\noffset = 0.1\n")
+    code, out, err = run_cli(capsys, "chi0", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key offset_in_waists ") and err.count("\n") == 1
 
 
 def test_sweep_csv_format_and_determinism(capsys):
@@ -136,7 +157,7 @@ def test_offset_sweep_in_waist_units(capsys):
     )
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[2:]]
-    assert float(rows[-1][0]) == pytest.approx(3 * 0.02, rel=1e-12)
+    assert float(rows[-1][0]) == pytest.approx(3 * 0.02, rel=1e-12, abs=0.0)
 
 
 def test_spectrum_command(capsys):
@@ -154,7 +175,7 @@ def test_spectrum_command(capsys):
         s_u = float(row[4])
         s_u_low = float(row[5])
         assert s_u > 0
-        assert s_u == pytest.approx(s_u_low, rel=0.01)
+        assert s_u == pytest.approx(s_u_low, rel=0.01, abs=0.0)
 
 
 def test_converge_command(capsys):
@@ -162,7 +183,7 @@ def test_converge_command(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[2:]]
     values = [float(r[1]) for r in rows]
-    assert values[0] == pytest.approx(9.864e-12, rel=1e-3)
+    assert values[0] == pytest.approx(9.864e-12, rel=1e-3, abs=0.0)
     assert values == sorted(values)
 
 
@@ -172,7 +193,7 @@ def test_compare_command(capsys):
     header = out.splitlines()[1].split(",")
     row = out.splitlines()[2].split(",")
     ratio = float(row[header.index("improvement_ratio")])
-    assert ratio == pytest.approx(4.16, rel=0.02)
+    assert ratio == pytest.approx(4.16, rel=0.02, abs=0.0)
 
 
 def test_compare_rejects_nonreference_waist(capsys):

@@ -29,8 +29,8 @@ def test_solve_geometry_hand_value_5kg():
     # R = M/(pi rho h0^2) + h0/3
     geo = solve_geometry(5.0, 0.07, FUSED_SILICA)
     expected = 5.0 / (math.pi * 2200.0 * 0.07**2) + 0.07 / 3.0
-    assert geo.curvature_radius == pytest.approx(expected, rel=1e-14)
-    assert geo.curvature_radius == pytest.approx(0.171, rel=2e-3)
+    assert geo.curvature_radius == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert geo.curvature_radius == pytest.approx(0.171, rel=2e-3, abs=0.0)
 
 
 def test_infeasible_at_sphere_segment_boundary():
@@ -52,7 +52,7 @@ def test_paraxial_warning_flag():
 
 def test_thickness_profile_endpoints():
     geo = solve_geometry(20.0, 0.07, FUSED_SILICA)
-    assert thickness_profile(geo, 0.0) == pytest.approx(geo.thickness, rel=1e-14)
+    assert thickness_profile(geo, 0.0) == pytest.approx(geo.thickness, rel=1e-14, abs=0.0)
     assert thickness_profile(geo, geo.diameter / 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -60,9 +60,9 @@ def test_thickness_profile_hand_value():
     geo = solve_geometry(20.0, 0.07, FUSED_SILICA)
     r = 0.2
     expected = math.sqrt(geo.curvature_radius**2 - r * r) - (geo.curvature_radius - 0.07)
-    assert thickness_profile(geo, r) == pytest.approx(expected, rel=1e-14)
+    assert thickness_profile(geo, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
     # circle-equation evaluation at R ~ 0.6139 m gives about 36.5 mm
-    assert expected == pytest.approx(0.03651, rel=1e-3)
+    assert expected == pytest.approx(0.03651, rel=1e-3, abs=0.0)
 
 
 def test_thickness_profile_domain():
@@ -89,9 +89,9 @@ def test_mass_round_trip(args):
     except InfeasibleGeometryError:
         return
     back = math.pi * rho * h0**2 * (geo.curvature_radius - h0 / 3.0)
-    assert back == pytest.approx(mass, rel=1e-12)
+    assert back == pytest.approx(mass, rel=1e-12, abs=0.0)
     d = 2.0 * math.sqrt(h0 * (2.0 * geo.curvature_radius - h0))
-    assert geo.diameter == pytest.approx(d, rel=1e-12)
+    assert geo.diameter == pytest.approx(d, rel=1e-12, abs=0.0)
 
 
 @given(

@@ -39,22 +39,22 @@ def test_fundamental_frequency_40khz(geo):
     # pi * 5960 / 0.07 ~ 2.675e5 rad/s, i.e. ~42.6 kHz: the "ten times stiffer
     # than a cylinder" headline number
     om = fundamental_frequency(geo)
-    assert om == pytest.approx(2.675e5, rel=1e-3)
-    assert om / (2 * math.pi) == pytest.approx(42.6e3, rel=2e-3)
+    assert om == pytest.approx(2.675e5, rel=1e-3, abs=0.0)
+    assert om / (2 * math.pi) == pytest.approx(42.6e3, rel=2e-3, abs=0.0)
 
 
 def test_acoustic_waist_hand_value(geo):
     # w_1^2 = (2 h0/pi) sqrt(R h0)
     w1sq = acoustic_waist_sq(geo, 1)
     expected = (2 * 0.07 / math.pi) * math.sqrt(geo.curvature_radius * 0.07)
-    assert w1sq == pytest.approx(expected, rel=1e-14)
-    assert math.sqrt(w1sq) == pytest.approx(0.0961, rel=2e-3)
+    assert w1sq == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert math.sqrt(w1sq) == pytest.approx(0.0961, rel=2e-3, abs=0.0)
 
 
 def test_eigenfrequency_fundamental_mode(geo):
     om_m2 = fundamental_frequency(geo) ** 2
     curv = (2 / math.pi) * math.sqrt(0.07 / geo.curvature_radius)
-    assert eigenfrequency_sq(geo, 1, 0) == pytest.approx(om_m2 * (1 + curv), rel=1e-14)
+    assert eigenfrequency_sq(geo, 1, 0) == pytest.approx(om_m2 * (1 + curv), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("thickness", [0.04, 0.07, 0.12])
@@ -72,9 +72,9 @@ def test_shell_frequency_sq_matches_reference(thickness):
 
 def test_mode_data_invariants(geo):
     md = mode_data(geo, ModeIndex(n=3, p=2, l=1))
-    assert md.waist**2 * 3 == pytest.approx(acoustic_waist_sq(geo, 1), rel=1e-12)
-    assert md.frequency**2 == pytest.approx(eigenfrequency_sq(geo, 3, 5), rel=1e-12)
-    assert md.fundamental_frequency == pytest.approx(fundamental_frequency(geo), rel=1e-14)
+    assert md.waist**2 * 3 == pytest.approx(acoustic_waist_sq(geo, 1), rel=1e-12, abs=0.0)
+    assert md.frequency**2 == pytest.approx(eigenfrequency_sq(geo, 3, 5), rel=1e-12, abs=0.0)
+    assert md.fundamental_frequency == pytest.approx(fundamental_frequency(geo), rel=1e-14, abs=0.0)
 
 
 @given(
@@ -102,7 +102,7 @@ def test_shell_degeneracy(n, p, l):
     f_ref = eigenfrequency_sq(geo, n, shell)
     for p2 in range(shell // 2 + 1):
         assert eigenfrequency_sq(geo, n, 2 * p2 + (shell - 2 * p2)) == pytest.approx(
-            f_ref, rel=1e-12
+            f_ref, rel=1e-12, abs=0.0
         )
 
 
@@ -110,7 +110,7 @@ def test_shell_degeneracy(n, p, l):
 def test_waist_scaling(n):
     geo = solve_geometry(20.0, 0.07, FUSED_SILICA)
     assert acoustic_waist_sq(geo, n) * n == pytest.approx(
-        acoustic_waist_sq(geo, 1), rel=1e-12
+        acoustic_waist_sq(geo, 1), rel=1e-12, abs=0.0
     )
 
 
@@ -119,7 +119,7 @@ def test_factorial_ratio():
     assert factorial_ratio(0, 0) == 1.0
     assert factorial_ratio(7, 0) == 1.0
     assert factorial_ratio(50, 50) == pytest.approx(
-        math.factorial(100) / math.factorial(50), rel=1e-12
+        math.factorial(100) / math.factorial(50), rel=1e-12, abs=0.0
     )
 
 
@@ -128,13 +128,13 @@ def test_effective_mass_l0_independent_of_p(geo):
     for m in masses[1:]:
         assert m == masses[0]
     expected = (math.pi / 4) * 2200.0 * 0.07 * acoustic_waist_sq(geo, 2)
-    assert masses[0] == pytest.approx(expected, rel=1e-14)
+    assert masses[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_fundamental_effective_mass_value(geo):
     # ~1.117 kg for the 7 cm mirror
     m1 = effective_mass(geo, ModeIndex(n=1))
-    assert m1 == pytest.approx(1.117, rel=1e-3)
+    assert m1 == pytest.approx(1.117, rel=1e-3, abs=0.0)
 
 
 def test_surface_displacement_axis_values(geo):
@@ -152,7 +152,7 @@ def test_surface_displacement_explicit_polynomial(geo):
     lag = -(x**3) / 6 + 5 * x**2 / 2 - 10 * x + 10
     expected = math.exp(-r * r / (w1 * w1)) * (math.sqrt(2) * r / w1) ** 2 * lag
     got = surface_displacement(geo, idx, r, 0.0)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_surface_displacement_parity(geo):
@@ -161,7 +161,7 @@ def test_surface_displacement_parity(geo):
     phi = 0.37
     r = 0.05
     assert surface_displacement(geo, idx_sin, r, phi) == pytest.approx(
-        surface_displacement(geo, idx_cos, r, phi) * math.tan(3 * phi), rel=1e-9
+        surface_displacement(geo, idx_cos, r, phi) * math.tan(3 * phi), rel=1e-9, abs=0.0
     )
 
 
@@ -202,18 +202,18 @@ def test_effective_mass_oracle_matches_closed_forms(geo):
     # fundamental: (pi/4) rho h0 w_1^2
     m_closed = effective_mass(geo, ModeIndex(n=1))
     m_quad = effective_mass_oracle(geo, ModeIndex(n=1))
-    assert m_quad == pytest.approx(m_closed, rel=1e-7)
+    assert m_quad == pytest.approx(m_closed, rel=1e-7, abs=0.0)
     # n=2 mass is half the n=1 mass (w_n^2 ~ 1/n)
     assert effective_mass_oracle(geo, ModeIndex(n=2)) == pytest.approx(
-        m_closed / 2, rel=1e-7
+        m_closed / 2, rel=1e-7, abs=0.0
     )
     # l >= 1 closed form carries (p+l)!/p!; the (1,2,3) mode spills over the
     # mirror rim (confinement ratio ~0.96), so the face quadrature sits ~2.3%
     # below the unbounded-plane closed form
     idx = ModeIndex(n=1, p=2, l=3)
     expected = (math.pi / 8) * 2200.0 * 0.07 * acoustic_waist_sq(geo, 1) * (5 * 4 * 3)
-    assert effective_mass(geo, idx) == pytest.approx(expected, rel=1e-14)
-    assert effective_mass_oracle(geo, idx) == pytest.approx(expected, rel=3e-2)
+    assert effective_mass(geo, idx) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert effective_mass_oracle(geo, idx) == pytest.approx(expected, rel=3e-2, abs=0.0)
 
 
 def test_closed_form_mass_against_unbounded_plane_quadrature(geo):
@@ -230,7 +230,7 @@ def test_closed_form_mass_against_unbounded_plane_quadrature(geo):
     u2 = np.exp(-2 * r * r / wn2) * (np.sqrt(2) * r / wn) ** (2 * idx.l) * lag**2
     angular = math.pi  # integral of cos^2(l phi) for l >= 1
     mass = 2200.0 * (0.07 / 2.0) * angular * float((u2 * r * wr).sum())
-    assert mass == pytest.approx(effective_mass(geo, idx), rel=1e-10)
+    assert mass == pytest.approx(effective_mass(geo, idx), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -241,5 +241,5 @@ def test_effective_mass_oracle_grid(geo, n, p, l):
     # indices confined well inside the face, where rim truncation is negligible
     idx = ModeIndex(n=n, p=p, l=l)
     assert effective_mass_oracle(geo, idx) == pytest.approx(
-        effective_mass(geo, idx), rel=1e-6
+        effective_mass(geo, idx), rel=1e-6, abs=0.0
     )

@@ -40,9 +40,9 @@ def test_beam_spec_validation(geo):
 
 def test_beam_profile_peak_and_normalization():
     beam = BeamSpec(waist=0.02)
-    assert beam_profile(beam, 0.0, 0.0) == pytest.approx(2 / (math.pi * 0.02**2), rel=1e-14)
+    assert beam_profile(beam, 0.0, 0.0) == pytest.approx(2 / (math.pi * 0.02**2), rel=1e-14, abs=0.0)
     shifted = BeamSpec(waist=0.02, offset=0.05)
-    assert beam_profile(shifted, 0.05, 0.0) == pytest.approx(2 / (math.pi * 0.02**2), rel=1e-14)
+    assert beam_profile(shifted, 0.05, 0.0) == pytest.approx(2 / (math.pi * 0.02**2), rel=1e-14, abs=0.0)
     # integrates to 1 over the plane
     nodes, weights = np.polynomial.legendre.leggauss(400)
     half = 8 * 0.02
@@ -66,8 +66,8 @@ def test_overlap_centered_examples(geo):
     # reference value for the standard configuration
     got = overlap_centered(mode_data(geo, ModeIndex(n=1)), BeamSpec(waist=0.02))
     wn2 = acoustic_waist_sq(geo, 1)
-    assert got.value == pytest.approx(2 * wn2 / (2 * wn2 + 4e-4), rel=1e-14)
-    assert got.value == pytest.approx(0.9788, rel=1e-4)
+    assert got.value == pytest.approx(2 * wn2 / (2 * wn2 + 4e-4), rel=1e-14, abs=0.0)
+    assert got.value == pytest.approx(0.9788, rel=1e-4, abs=0.0)
 
 
 def test_overlap_centered_preconditions(geo):
@@ -113,7 +113,7 @@ def test_offaxis_reduces_to_centered(geo):
         mode = mode_data(geo, ModeIndex(n=n, p=p))
         fast = overlap_offaxis(mode, beam)
         closed = overlap_centered(mode, beam)
-        assert fast.value == pytest.approx(closed.value, rel=1e-12)
+        assert fast.value == pytest.approx(closed.value, rel=1e-12, abs=0.0)
 
 
 def test_offaxis_angular_orthogonality(geo):
@@ -137,7 +137,7 @@ def test_offaxis_displaced_gaussian_closed_form(geo):
         2 * wn2 / (2 * wn2 + w0**2) * math.exp(-2 * d * d / (2 * wn2 + w0**2))
     )
     got = overlap_offaxis(mode, BeamSpec(waist=w0, offset=d))
-    assert got.value == pytest.approx(expected, rel=1e-12)
+    assert got.value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_offaxis_matches_oracle_spec_case(geo):
@@ -145,7 +145,7 @@ def test_offaxis_matches_oracle_spec_case(geo):
     beam = BeamSpec(waist=0.02, offset=0.03)
     fast = overlap_offaxis(mode, beam)
     quad = overlap_quadrature_oracle(mode, beam)
-    assert fast.value == pytest.approx(quad.value, rel=1e-8)
+    assert fast.value == pytest.approx(quad.value, rel=1e-8, abs=0.0)
 
 
 def test_offaxis_quadratic_approach_to_center(geo):
@@ -156,7 +156,7 @@ def test_offaxis_quadratic_approach_to_center(geo):
     d1 = 1e-3
     dev1 = overlap_offaxis(mode, BeamSpec(waist=0.02, offset=d1)).value - v0
     dev2 = overlap_offaxis(mode, BeamSpec(waist=0.02, offset=2 * d1)).value - v0
-    assert dev2 == pytest.approx(4 * dev1, rel=1e-3)
+    assert dev2 == pytest.approx(4 * dev1, rel=1e-3, abs=0.0)
 
 
 def test_offaxis_parity_in_offset(geo):
@@ -167,11 +167,11 @@ def test_offaxis_parity_in_offset(geo):
     mode_odd = mode_data(geo, ModeIndex(n=1, p=1, l=1))
     v1 = overlap_offaxis(mode_odd, BeamSpec(waist=0.02, offset=eps)).value
     v2 = overlap_offaxis(mode_odd, BeamSpec(waist=0.02, offset=2 * eps)).value
-    assert v2 == pytest.approx(2 * v1, rel=1e-4)
+    assert v2 == pytest.approx(2 * v1, rel=1e-4, abs=0.0)
     mode_even = mode_data(geo, ModeIndex(n=1, p=1, l=2))
     w1 = overlap_offaxis(mode_even, BeamSpec(waist=0.02, offset=eps)).value
     w2 = overlap_offaxis(mode_even, BeamSpec(waist=0.02, offset=2 * eps)).value
-    assert w2 == pytest.approx(4 * w1, rel=1e-4)
+    assert w2 == pytest.approx(4 * w1, rel=1e-4, abs=0.0)
 
 
 def test_overlap_decays_with_order(geo):
@@ -192,7 +192,7 @@ def test_oracle_centered_match_and_l2_zero(geo):
     mode = mode_data(geo, ModeIndex(n=1))
     beam = BeamSpec(waist=0.02)
     quad = overlap_quadrature_oracle(mode, beam)
-    assert quad.value == pytest.approx(0.9788088, rel=1e-6)
+    assert quad.value == pytest.approx(0.9788088, rel=1e-6, abs=0.0)
     mode_l2 = mode_data(geo, ModeIndex(n=1, p=0, l=2))
     z = overlap_quadrature_oracle(mode_l2, beam)
     assert abs(z.value) < 1e-10
@@ -216,7 +216,7 @@ def test_shell_traces_match_per_mode_sums(geo):
             idx = ModeIndex(n=n, p=p, l=l)
             v = overlap_offaxis(mode_data(geo, idx), beam).value
             total += v * v / effective_mass(geo, idx)
-        assert trace == pytest.approx(total, rel=1e-12)
+        assert trace == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_shell_traces_centered_match_closed_form(geo):
@@ -227,7 +227,7 @@ def test_shell_traces_centered_match_closed_form(geo):
     traces = shell_overlap_sq_over_mass(geo, beam, 2, 9)
     for p in range(5):
         expected = (c * q**p) ** 2 / effective_mass(geo, ModeIndex(n=2, p=p))
-        assert traces[2 * p] == pytest.approx(expected, rel=1e-12)
+        assert traces[2 * p] == pytest.approx(expected, rel=1e-12, abs=0.0)
         if 2 * p + 1 <= 9:
             assert traces[2 * p + 1] == pytest.approx(0.0, abs=1e-30)
 

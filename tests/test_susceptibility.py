@@ -79,17 +79,17 @@ def test_mode_susceptibility_static_and_resonant(geo):
     # static limit with vanishing damping
     chi0 = mode_susceptibility(mode, 0.0, 1e-12)
     expected = 1.0 / (mode.effective_mass * mode.frequency**2)
-    assert chi0.real == pytest.approx(expected, rel=1e-9)
+    assert chi0.real == pytest.approx(expected, rel=1e-9, abs=0.0)
     assert abs(chi0.imag) < 1e-11 * abs(chi0.real)
     # purely imaginary at resonance
     phi = 1e-6
     chi_res = mode_susceptibility(mode, mode.frequency, phi)
     assert chi_res.real == pytest.approx(0.0, abs=1e-9 * abs(chi_res.imag))
     assert chi_res.imag == pytest.approx(
-        1.0 / (mode.effective_mass * mode.frequency**2 * phi), rel=1e-12
+        1.0 / (mode.effective_mass * mode.frequency**2 * phi), rel=1e-12, abs=0.0
     )
     # fundamental-mode magnitude: M_1 ~ 1.117 kg
-    assert 1.0 / (1.117 * mode.frequency**2) == pytest.approx(chi0.real, rel=1e-3)
+    assert 1.0 / (1.117 * mode.frequency**2) == pytest.approx(chi0.real, rel=1e-3, abs=0.0)
 
 
 def test_chi_eff_brute_force_equivalence(geo, beam):
@@ -121,10 +121,10 @@ def test_chi_eff_zero_frequency_real_positive_monotone(geo, beam):
 
 def test_chi_eff_reference_values(geo):
     res = effective_susceptibility(geo, BeamSpec(waist=0.02))
-    assert res.value.real == pytest.approx(11e-11, rel=0.1)
+    assert res.value.real == pytest.approx(11e-11, rel=0.1, abs=0.0)
     assert res.tail_bound <= 1e-4
     res2 = effective_susceptibility(geo, BeamSpec(waist=0.055))
-    assert res2.value.real == pytest.approx(2.4e-11, rel=0.1)
+    assert res2.value.real == pytest.approx(2.4e-11, rel=0.1, abs=0.0)
 
 
 def test_chi_eff_loss_angle_cancels_at_zero_frequency(geo, beam):
@@ -153,7 +153,7 @@ def test_chi_eff_budget_error_carries_partial(geo, beam):
 def test_chi_eff_offaxis_matches_centered_limit(geo):
     centered = effective_susceptibility(geo, BeamSpec(waist=0.02))
     near = effective_susceptibility(geo, BeamSpec(waist=0.02, offset=1e-10))
-    assert near.value.real == pytest.approx(centered.value.real, rel=1e-4)
+    assert near.value.real == pytest.approx(centered.value.real, rel=1e-4, abs=0.0)
     # both carry the n-tail, whose bracket is an observation
     assert near.tail_is_estimate and centered.tail_is_estimate
     assert near.n_tail.real == pytest.approx(centered.n_tail.real, rel=1e-6, abs=0.0)
@@ -170,7 +170,7 @@ def test_chi_eff_continuous_as_offset_goes_to_zero(geo, waist, where, n):
     offset = math.exp(math.log(1e-9) + where * math.log(1e-4 * waist / 1e-9))
     near = effective_susceptibility(geo, BeamSpec(waist=waist, offset=offset))
     centered = effective_susceptibility(geo, BeamSpec(waist=waist))
-    assert near.value.real == pytest.approx(centered.value.real, rel=1e-4)
+    assert near.value.real == pytest.approx(centered.value.real, rel=1e-4, abs=0.0)
     # at offset 0 the traces' odd shells vanish exactly
     traces = shell_overlap_sq_over_mass(geo, BeamSpec(waist=waist), n, 301)
     assert not traces[1::2].any()
@@ -199,7 +199,7 @@ def test_thermal_force_spectrum_oscillator_algebra(geo):
     chi = mode_susceptibility(mode, om, phi)
     got = thermal_force_spectrum(chi, om, temp)
     expected = 2 * BOLTZMANN * temp * mode.effective_mass * mode.frequency**2 * phi / om
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     # no dissipation, no fluctuation
     chi_lossless = mode_susceptibility(mode, om, 0.0)
     assert thermal_force_spectrum(chi_lossless, om, temp) == 0.0
@@ -218,14 +218,14 @@ def test_fdt_identity(omega):
     s_t = thermal_force_spectrum(chi, omega, temp)
     lhs = abs(chi) ** 2 * s_t
     rhs = (2 * BOLTZMANN * temp / omega) * chi.imag
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_noise_spectrum_branches_and_scalings(geo, beam):
     om = mode_data(geo, ModeIndex(n=1)).fundamental_frequency / 1000.0
     point = displacement_noise_spectrum(geo, beam, om, 300.0, 1e-6)
     assert point.displacement_spectrum == pytest.approx(
-        point.displacement_spectrum_lowfreq, rel=0.01
+        point.displacement_spectrum_lowfreq, rel=0.01, abs=0.0
     )
     zero_t = displacement_noise_spectrum(geo, beam, om, 0.0, 1e-6)
     assert zero_t.displacement_spectrum == 0.0
@@ -233,11 +233,11 @@ def test_noise_spectrum_branches_and_scalings(geo, beam):
     # linear in T and in phi at fixed low frequency
     double_t = displacement_noise_spectrum(geo, beam, om, 600.0, 1e-6)
     assert double_t.displacement_spectrum == pytest.approx(
-        2 * point.displacement_spectrum, rel=1e-9
+        2 * point.displacement_spectrum, rel=1e-9, abs=0.0
     )
     double_phi = displacement_noise_spectrum(geo, beam, om, 300.0, 2e-6)
     assert double_phi.displacement_spectrum == pytest.approx(
-        2 * point.displacement_spectrum, rel=1e-4
+        2 * point.displacement_spectrum, rel=1e-4, abs=0.0
     )
     with pytest.raises(ValueError):
         displacement_noise_spectrum(geo, beam, 0.0, 300.0)
@@ -246,13 +246,13 @@ def test_noise_spectrum_branches_and_scalings(geo, beam):
 def test_optical_mass_model_values(geo, beam):
     approx = optical_mass_model(geo, beam)
     assert approx.optical_mass == pytest.approx(
-        (12 / math.pi**2) * (math.pi / 4) * 2200.0 * 0.07 * 0.02**2, rel=1e-14
+        (12 / math.pi**2) * (math.pi / 4) * 2200.0 * 0.07 * 0.02**2, rel=1e-14, abs=0.0
     )
-    assert approx.optical_mass == pytest.approx(0.0588, rel=1e-3)
-    assert approx.chi_approx == pytest.approx(2.376e-10, rel=1e-3)
+    assert approx.optical_mass == pytest.approx(0.0588, rel=1e-3, abs=0.0)
+    assert approx.chi_approx == pytest.approx(2.376e-10, rel=1e-3, abs=0.0)
     # doubling the waist quarters the estimate
     wide = optical_mass_model(geo, BeamSpec(waist=0.04))
-    assert wide.chi_approx == pytest.approx(approx.chi_approx / 4, rel=1e-12)
+    assert wide.chi_approx == pytest.approx(approx.chi_approx / 4, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         optical_mass_model(geo, BeamSpec(waist=0.02, offset=0.01))
 
@@ -521,9 +521,9 @@ def test_centered_budget_overrun_matches_oracle(geo, waist, max_modes):
 
 @pytest.mark.parametrize("waist, max_modes", [(0.001, 10**8), (0.001, 300_000), (0.01, 10**8), (0.06, 10**8)])
 def test_centered_sum_does_not_depend_on_its_runs(geo, waist, max_modes, monkeypatch):
-    # the walk hands the families it sums alone to the stop rule in batches
-    # whose bounds move with the runs; the result, or the budget's partial
-    # result, does not
+    # the walk hands each run to the stop rule in one take, and a budget
+    # overrun the run's families before it; the result, or the budget's
+    # partial result, does not depend on where the runs begin and end
     import mirnoise.susceptibility as susceptibility
 
     def outcomes():
@@ -537,10 +537,36 @@ def test_centered_sum_does_not_depend_on_its_runs(geo, waist, max_modes, monkeyp
         return out
 
     ref = outcomes()
-    for first, pending in ((1, 1), (7, 3), (32, 100), (1000, 8)):
+    for first in (1, 7, 32, 1000):
         monkeypatch.setattr(susceptibility, "_CENTERED_FIRST_RUN", first)
-        monkeypatch.setattr(susceptibility, "_PENDING_MAX", pending)
         assert outcomes() == ref
+
+
+@pytest.mark.parametrize("omega", [0.0, 3e5])
+@pytest.mark.parametrize("max_modes", [10**8, 470_000])
+def test_centered_sum_takes_each_run_once(geo, omega, max_modes, monkeypatch):
+    # at w0 1 mm every family of the runs of 64, 128, 256 and 512 families takes
+    # further blocks, and the sum stops in the fourth run (N = 559 at omega = 0,
+    # 571 at 3e5): one take per run.  Under the smaller budget the fourth run
+    # overruns, and its families walked before the overrun are taken instead;
+    # at omega = 0 the sum still stops among them.
+    import mirnoise.susceptibility as susceptibility
+
+    takes = []
+    take = susceptibility._Families.take
+
+    def counted(self, sums, statics, tails):
+        takes.append(len(sums))
+        return take(self, sums, statics, tails)
+
+    monkeypatch.setattr(susceptibility._Families, "take", counted)
+    policy = TruncationPolicy(n_max=1000, max_modes=max_modes)
+    try:
+        assert len(effective_susceptibility(geo, BeamSpec(waist=0.001), omega, policy=policy).per_n) in (559, 571)
+    except BudgetExceededError:
+        assert (omega, max_modes) == (3e5, 470_000)
+    assert takes[:3] == [64, 128, 256] and len(takes) == 4
+    assert takes[3] == 512 if max_modes == 10**8 else takes[3] < 512
 
 
 @given(
@@ -961,7 +987,7 @@ def test_offaxis_families_with_zero_heads_are_summed(geo):
     res = effective_susceptibility(geo, beam, policy=TruncationPolicy(n_max=1000))
     assert res.converged and res.modes_used == 0 and 200 < len(res.per_n) < 1000
     for n in (150, 197, 198, 199, 200):
-        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
+        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason="ShellTraceTable reads families 197-200 as 0 at w0 1 mm, d 18.5 cm "
@@ -1027,9 +1053,9 @@ def test_offaxis_family_integral_branches(geo):
             res = effective_susceptibility(geo, beam, 0.0, policy=policy)
             assert len(res.per_n) <= policy.n_max
             assert_zero_frequency_offaxis(geo, beam, res, policy)
-        assert res.per_n[0] == pytest.approx(family_shell_sum(geo, beam, 1), rel=1e-12)
+        assert res.per_n[0] == pytest.approx(family_shell_sum(geo, beam, 1), rel=1e-12, abs=0.0)
         res = effective_susceptibility(geo, beam, policy=EVERY_FAMILY)
-        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12)
+        assert res.per_n[n - 1] == pytest.approx(family_shell_sum(geo, beam, n), rel=1e-12, abs=0.0)
         # at 1e6 rad/s family n >= 10 is integrated as a Taylor series over the same branch
         assert_family_matches_mpmath(geo, beam, 1e6, 1e-6, n)
 
@@ -1095,8 +1121,8 @@ def assert_family_matches_mpmath(geometry, beam, omega, loss_angle, n):
     assert _integrated(geometry, omega, loss_angle, n)[-1]
     got = effective_susceptibility(geometry, beam, omega, loss_angle, EVERY_FAMILY).per_n[n - 1]
     want = family_shell_sum(geometry, beam, n, omega, loss_angle)
-    assert got.real == pytest.approx(want.real, rel=1e-12)
-    assert got.imag == pytest.approx(want.imag, rel=1e-12)
+    assert got.real == pytest.approx(want.real, rel=1e-12, abs=0.0)
+    assert got.imag == pytest.approx(want.imag, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -174,7 +174,7 @@ def test_convergence_single_mode_checkpoint(geo):
     mode = mode_data(geo, ModeIndex(n=1))
     ovl = overlap_centered(mode, beam).value
     single = ovl * ovl / (mode.effective_mass * mode.frequency**2)
-    assert pairs[0] == (1, pytest.approx(single, rel=1e-12))
+    assert pairs[0] == (1, pytest.approx(single, rel=1e-12, abs=0.0))
 
 
 def test_convergence_nondecreasing_and_saturating(geo):
@@ -236,7 +236,7 @@ def test_compare_report_reference_waists(geo):
     assert report.improvement_ratio > 4.0
     report_b = compare_report(geo, BeamSpec(waist=0.055))
     assert report_b.cylindrical_reference == 11e-11
-    assert report_b.improvement_ratio == pytest.approx(4.6, rel=0.05)
+    assert report_b.improvement_ratio == pytest.approx(4.6, rel=0.05, abs=0.0)
 
 
 def test_compare_report_refuses_other_waists(geo):
