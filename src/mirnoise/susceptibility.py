@@ -57,7 +57,10 @@ class TruncationPolicy:
                the integrated off-axis families: for their error estimate;
                off axis near a resonance: for the shells' sum-rule bound);
                the family loop stops at the first N whose n-tail error is at
-               most epsilon / 2 of |value|
+               most epsilon / 2 of |value|; family n takes levels of blocks
+               or shells until its tail is at most epsilon |R_n| / (2 n_max),
+               R_n the running total of the sums through n (centered: of
+               their first blocks of 64 terms, so no family waits on another)
     max_modes  hard budget of explicitly summed terms; exceeding it raises
                BudgetExceededError (off axis only the families summed by
                shells near a resonance sum any)
@@ -163,15 +166,15 @@ def _result(value, omega, modes_used, tail_abs, tail_is_estimate, per_n, policy,
 #: a modal sum takes its families in runs: this many first, then each run
 #: twice as long as the one before, up to the ceiling n_max
 _FIRST_RUN = 32
-#: the centered walk's first run: a run costs it more than its families do,
+#: the centered sum's first run: a run costs it more than its families do,
 #: and the stops of 1-3 cm beams lie past family 32
 _CENTERED_FIRST_RUN = 64
 
 
-def _family_runs(cap, first=_FIRST_RUN):
+def _family_runs(cap):
     """(lo, hi): the runs of families lo + 1..hi up to family cap, the first
-    of them first long."""
-    lo, size = 0, first
+    of them _FIRST_RUN long."""
+    lo, size = 0, _FIRST_RUN
     while lo < cap:
         yield lo, min(lo + size, cap)
         lo, size = lo + size, 2 * size
@@ -387,99 +390,76 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     """Modal sum for a centered beam: l = 0 cosine modes only, closed-form
     overlaps, rigorous geometric tail bound per longitudinal family.
 
-    Blocks of p double from 64 to 8192 terms until a family's tail meets its
-    share of the tolerance.  The families come in runs (_family_runs), and
-    the first block of every family of a run is one 2D array, a row per
-    family; a walk in ascending n then takes the families whose first block
-    suffices in one vector step, up to the next one that needs a further
-    block, which it sums alone and writes back into the run's arrays before
-    walking on.  Each family also sums its terms at omega = 0, for the
-    n-tail.  Once the run is walked it goes to the stop rule (_Families) in
-    one take, which finds the family where the n-tail meets its share; a
-    budget overrun first takes the families walked before it.
+    Each run of families (64, 128, 256, ...) is summed level by level, a row
+    per family: level 1 is every family's first 64 terms, each further level
+    one block of the next 128, 256, ... (at most 8192) for the families whose
+    tail misses its target (TruncationPolicy), so each row is == to summing
+    its family alone.  Each family also sums its terms at omega = 0 for the
+    n-tail rule (_Families), which takes each run once.  A run ends before
+    the first family that overruns the budget, or that the budget is
+    unlikely to reach; the next run starts there, so a family that overruns
+    comes first in its run, where the modes before it are known.
     """
     om_m2, curv = spectrum_constants(geometry)
     w02 = beam.waist * beam.waist
     first = 64
     families = _Families(_n_tail_constant(geometry, beam.waist, 0.0), omega, phi, om_m2, policy)
-    total, used = 0.0 if omega == 0.0 else 0.0 + 0.0j, 0
-    # a family past max_modes // first + 1 cannot be reached within the budget
-    for lo, hi in _family_runs(min(policy.n_max, policy.max_modes // first + 1), _CENTERED_FIRST_RUN):
-        n = np.arange(lo + 1.0, hi + 1.0)
+    reference, used = 0.0, 0  # R_n and the modes used through the runs before
+    # no family past max_modes // first + 1 is reached: the runs end in a stop or an overrun
+    cap, lo, size = min(policy.n_max, policy.max_modes // first + 1), 0, _CENTERED_FIRST_RUN
+    while True:
+        n = np.arange(lo + 1.0, min(lo + size, cap) + 1.0)
         wn2 = acoustic_waist_sq(geometry, n)
         mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
         c = 2.0 * wn2 / (2.0 * wn2 + w02)
         q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
         q2 = q * q
-        head = c * c  # c^2 q^(2 p0) at the head of each family's next block
-        sums, statics = _centered_block(om_m2, curv, n[:, None], mass[:, None], head[:, None], q2[:, None],
-                                        0, first, omega, phi)
-        # Python's scalar pow: numpy's vector one can differ from it in the last bit
-        head *= [q2_n**first for q2_n in q2.tolist()]
-        # no denominator past a block falls below the smallest one left: at omega = 0
-        # the next shell's Omega^2, else _least_denominator's rule
-        den = shell_frequency_sq(om_m2, curv, n, 2.0 * first)
+        head = c * c  # c^2 q^(2 p) at the head of each family's next block
         if omega > 0.0:
             s_least, least = _least_denominator(om_m2, curv, n, omega, phi)
-            den = np.where(2 * first <= s_least, least, np.hypot(den - omega * omega, -den * phi))
-        # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
-        tails = head / ((1.0 - q2) * mass * den)
-
-        modes = np.zeros(len(n), dtype=int)  # the modes used up to each family
-        k, walk = 0, True
-        while k < len(n):
-            if walk:
-                # running totals in ascending n from family k on: every family up to
-                # the first whose first block falls short is done in one vector step
-                # (hypot is Python's complex abs; numpy's can differ in the last bit)
-                totals = np.cumsum(np.concatenate(([total], sums[k:])))[1:]
-                modes[k:] = used + first * np.arange(1, len(totals) + 1)
-                target = policy.epsilon * np.hypot(totals.real, totals.imag) / (2.0 * policy.n_max)
-                done = (modes[k:] <= policy.max_modes) & (tails[k:] <= target)
-                j = len(done) if done.all() else int(np.argmin(done))
-                if j:
-                    total, used, k = totals[j - 1].item(), int(modes[k + j - 1]), k + j
-                if k == len(n):
-                    break
-            # that family alone: further blocks until its tail meets its target,
-            # in Python floats but for q2, whose 1 - q2 may be 0 (an infinite tail)
-            s_n, static_n, p, tail_n = sums[k].item(), statics[k].item(), first, tails[k]
-            n_k, mass_k, q2_k = n[k].item(), mass[k].item(), q2[k]
-            while True:
-                if used + p > policy.max_modes:
-                    # the sum may stop at a family walked before the overrun
-                    stop = families.take(sums[:k], statics[:k], tails[:k]) if k else None
-                    if stop is not None:
-                        return families.result(omega, int(modes[stop]), policy)
-                    raise BudgetExceededError(
-                        f"mode budget {policy.max_modes} exhausted at n={lo + k + 1}, p={p}",
-                        partial=_result(total + s_n, omega, used + p, math.inf, False, families.per_n(), policy),
-                    )
-                if tail_n <= policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max):
-                    break
-                # blocks of 64, 128, ... terms: after p = 64 (2^r - 1) the next is p + 64 long
-                count = min(p + 64, 8192)
-                block, block_static = _centered_block(om_m2, curv, n_k, mass_k, head[k].item(), q2_k, p, count,
-                                                      omega, phi)
-                s_n += block.item()
-                static_n += block_static.item()
-                head[k] *= q2_k.item() ** count
-                p += count
-                den = shell_frequency_sq(om_m2, curv, n_k, 2.0 * p)
-                if omega > 0.0:
-                    den = least[k].item() if 2 * p <= s_least[k] else abs(complex(den - omega * omega, -den * phi))
-                tail_n = head[k].item() / ((1.0 - q2_k) * mass_k * den)
-            total, used = total + s_n, used + p
-            sums[k], statics[k], tails[k], modes[k] = s_n, static_n, tail_n, used
-            k += 1
-            # walk on in vector steps once a family needs no further block; in a
-            # narrow beam every family does, and each step would stop at once
-            walk = p == first
-        stop = families.take(sums, statics, tails)
+        sums = np.zeros(len(n), complex if omega else float)
+        statics, tails, terms = np.zeros(len(n)), np.empty(len(n)), np.zeros(len(n), dtype=int)
+        rows, p, count = slice(None), 0, first  # level 1 takes the families as a slice, not by index
+        while True:
+            n_r, mass_r, q2_r = n[rows], mass[rows], q2[rows]
+            block, block_static = _centered_block(om_m2, curv, n_r[:, None], mass_r[:, None], head[rows][:, None],
+                                                  q2_r[:, None], p, count, omega, phi)
+            sums[rows] += block
+            statics[rows] += block_static
+            # Python's scalar pow: numpy's vector one can differ from it in the last bit
+            head[rows] *= [q2_n**count for q2_n in q2_r.tolist()]
+            p += count
+            terms[rows] = p
+            # no denominator past a block falls below the smallest one left: at omega = 0 the
+            # next shell's Omega^2, else _least_denominator's (hypot is Python's complex abs)
+            den = shell_frequency_sq(om_m2, curv, n_r, 2.0 * p)
+            if omega > 0.0:
+                den = np.where(2 * p <= s_least[rows], least[rows], np.hypot(den - omega * omega, -den * phi))
+            # the overlaps decay as q^(2p); a degenerate beam (w0 -> 0, q2 = 1) has an infinite tail
+            tails[rows] = head[rows] / ((1.0 - q2_r) * mass_r * den)
+            modes = used + terms.cumsum()  # the modes used up to each family
+            if p == first:
+                firsts = np.cumsum(np.concatenate(([reference], sums)))[1:]
+                target = policy.epsilon * np.hypot(firsts.real, firsts.imag) / (2.0 * policy.n_max)
+                # the run ends where the terms fit the budget no more, were each tail to decay as q^(2p)
+                need = modes + np.cumsum(np.log(np.minimum(target / tails, 1.0)) / np.log(q2))
+                end = max(1, int(need.searchsorted(policy.max_modes, "right")))
+            end = min(end, int(modes.searchsorted(policy.max_modes, "right")))  # a family that overruns: next run
+            rows = (tails[:end] > target[:end]).nonzero()[0]
+            if not len(rows):
+                break
+            count = min(p + first, 8192)  # blocks of 64, 128, ...: after p = 64 (2^r - 1) the next is p + 64 long
+        if not end:  # the first family overruns, at the first block that takes the modes past the budget
+            raise BudgetExceededError(
+                f"mode budget {policy.max_modes} exhausted at n={lo + 1}, p={terms[0]}",
+                partial=_result(families.head + sums[0], omega, int(modes[0]), math.inf, False, families.per_n(),
+                                policy),
+            )
+        stop = families.take(sums[:end], statics[:end], tails[:end])
         if stop is not None:
             return families.result(omega, int(modes[stop]), policy)
-    # the last run ends at n_max, where _Families stops, or runs out of budget
-    raise AssertionError("unreachable: the family loop ended without a stop")
+        reference, used = firsts[end - 1], int(modes[end - 1])
+        lo, size = lo + end, 2 * size
 
 
 #: a shelled family's sum-rule remainder G(1) - sum_{s<=S} T_s is floored at

@@ -356,11 +356,12 @@ def test_least_denominator_is_the_brute_force_minimum(thickness):
 # Oracle for the centered modal sum: the per-family implementation that the
 # all-families block sum replaced, kept verbatim but for its least
 # denominator, which sits at omega^2 / (1 + phi^2) and not at the crossing
-# with omega^2, and for the n-tail: each family also sums its terms at
+# with omega^2, for the n-tail: each family also sums its terms at
 # omega = 0, and the loop stops at the first family where the library's
-# n-tail rule (_n_tail, pinned on its own below) is met, or at n_max.  The
-# library must reproduce its results, budget errors and partial results
-# exactly (==, not approx).
+# n-tail rule (_n_tail, pinned on its own below) is met, or at n_max, and
+# for its families' targets, which take the running total of the families'
+# first-block sums, not of their whole sums.  The library must reproduce its
+# results, budget errors and partial results exactly (==, not approx).
 # ---------------------------------------------------------------------------
 
 
@@ -404,6 +405,7 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
     at_zero = omega == 0.0
 
     total = 0.0 if at_zero else 0.0 + 0.0j
+    reference = total  # the running total of the families' first-block sums
     tail_abs = 0.0
     per_n = []
     modes_used = 0
@@ -433,6 +435,8 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
                 den = mass * (om2 - omega * omega - 1j * om2 * phi)
                 s_n += complex((ovl2 / den).sum())
             modes_used += count
+            if p0 == 0:
+                reference += s_n
             p_next = p0 + count
             ovl2_next = ovl2_head * q2**count
             if ovl2_next == 0.0:
@@ -451,7 +455,7 @@ def _oracle_chi_centered(geometry, beam, omega, phi, policy):
                     f"mode budget {policy.max_modes} exhausted at n={n}, p={p_next}",
                     partial=_oracle_result(total + s_n, omega, modes_used, math.inf, per_n, policy),
                 )
-            target = policy.epsilon * abs(total + s_n) / (2.0 * policy.n_max)
+            target = policy.epsilon * abs(reference) / (2.0 * policy.n_max)
             if tail_n <= target:
                 break
             ovl2_head = ovl2_next
@@ -542,16 +546,43 @@ def test_centered_sum_does_not_depend_on_its_runs(geo, waist, max_modes, monkeyp
         assert outcomes() == ref
 
 
+#: the first p of each block of a centered family: 64, 128, 256, ... terms, at most 8192
+CENTERED_BLOCK_STARTS = [0, 64, 192, 448, 960, 1984, 4032, 8128] + [8128 + 8192 * r for r in range(1, 200)]
+
+
+def _record_centered_blocks(monkeypatch):
+    """Patch _centered_block to record each call's (n, mass, head, q2, p0,
+    count, omega, phi, sums, omega = 0 sums), the per-family arguments and
+    sums as lists."""
+    import mirnoise.susceptibility as susceptibility
+
+    calls = []
+    block = susceptibility._centered_block
+
+    def recorded(om_m2, curv, n, mass, head, q2, p0, count, omega, phi):
+        sums, statics = block(om_m2, curv, n, mass, head, q2, p0, count, omega, phi)
+        columns = [a[:, 0].tolist() for a in (n, mass, head, q2)]
+        calls.append((*columns, p0, count, omega, phi, sums.tolist(), statics.tolist()))
+        return sums, statics
+
+    monkeypatch.setattr(susceptibility, "_centered_block", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("omega", [0.0, 3e5])
-@pytest.mark.parametrize("max_modes", [10**8, 470_000])
+@pytest.mark.parametrize("max_modes", [10**8, 470_000, 490_000])
 def test_centered_sum_takes_each_run_once(geo, omega, max_modes, monkeypatch):
     # at w0 1 mm every family of the runs of 64, 128, 256 and 512 families takes
     # further blocks, and the sum stops in the fourth run (N = 559 at omega = 0,
-    # 571 at 3e5): one take per run.  Under the smaller budget the fourth run
-    # overruns, and its families walked before the overrun are taken instead;
-    # at omega = 0 the sum still stops among them.
+    # 571 at 3e5).  Each level of a run is one block call over the families
+    # still short, so the runs take 14, 4, 3 and 2 calls, and each run goes to
+    # the stop rule in one take.  Under a budget a run ends before the family
+    # that overruns, which then comes first in a run of its own and stops
+    # there, taking nothing; at 490,000 modes and omega = 0 the families
+    # before it hold the stop.
     import mirnoise.susceptibility as susceptibility
 
+    calls = _record_centered_blocks(monkeypatch)
     takes = []
     take = susceptibility._Families.take
 
@@ -562,11 +593,68 @@ def test_centered_sum_takes_each_run_once(geo, omega, max_modes, monkeypatch):
     monkeypatch.setattr(susceptibility._Families, "take", counted)
     policy = TruncationPolicy(n_max=1000, max_modes=max_modes)
     try:
-        assert len(effective_susceptibility(geo, BeamSpec(waist=0.001), omega, policy=policy).per_n) in (559, 571)
-    except BudgetExceededError:
-        assert (omega, max_modes) == (3e5, 470_000)
-    assert takes[:3] == [64, 128, 256] and len(takes) == 4
-    assert takes[3] == 512 if max_modes == 10**8 else takes[3] < 512
+        n = len(effective_susceptibility(geo, BeamSpec(waist=0.001), omega, policy=policy).per_n)
+    except BudgetExceededError as err:
+        n = int(str(err).split("n=")[1].split(",")[0])
+    runs = []
+    for call in calls:
+        if call[4] == 0:
+            runs.append([])
+        runs[-1].append(call)
+    expected = {
+        (10**8, 0.0): (559, [64, 128, 256, 512], [14, 4, 3, 2]),
+        (10**8, 3e5): (571, [64, 128, 256, 512], [14, 4, 3, 2]),
+        (470_000, 0.0): (451, [64, 128, 256, 2], [14, 4, 3, 2, 2]),
+        (470_000, 3e5): (416, [64, 128, 223], [14, 4, 3, 2]),
+        (490_000, 0.0): (559, [64, 128, 256, 128], [14, 4, 3, 2]),
+        (490_000, 3e5): (521, [64, 128, 256, 72], [14, 4, 3, 2, 1]),
+    }
+    assert (n, takes, [len(run) for run in runs]) == expected[max_modes, omega]
+    assert [len(run[0][0]) for run in runs[:4]] == [64, 128, 256, 512][: len(runs)]
+    assert all(t <= len(run[0][0]) for t, run in zip(takes, runs))
+    for run in runs:
+        # one call per level: each starts where the one before ended, over fewer families
+        assert [call[4] for call in run] == CENTERED_BLOCK_STARTS[: len(run)]
+        assert all(len(a[0]) >= len(b[0]) for a, b in zip(run, run[1:]))
+
+
+@pytest.mark.parametrize("omega", [0.0, 3e5])
+def test_centered_levels_match_one_family_blocks(geo, omega, monkeypatch):
+    # each row of a level is == to that family's own block, summed alone from
+    # its head, which Python's scalar pow advances block by block; families
+    # 1-64 of a w0 1 mm beam take 4 to 14 blocks
+    import mirnoise.susceptibility as susceptibility
+
+    block = susceptibility._centered_block
+    calls = _record_centered_blocks(monkeypatch)
+    effective_susceptibility(geo, BeamSpec(waist=0.001), omega, policy=TruncationPolicy(n_max=1000))
+    run = calls[: [call[4] for call in calls].index(0, 1)]
+    om_m2, curv = spectrum_constants(geo)
+    counts = []
+    for n, mass, head, q2 in zip(*run[0][:4]):
+        assert n in range(1, 65)
+        q2 = np.float64(q2)
+        rows = [(call, call[0].index(n)) for call in run if n in call[0]]
+        blocks = [(call[4:8], call[8][i], call[9][i]) for call, i in rows]
+        assert [args[0] for args, _, _ in blocks] == CENTERED_BLOCK_STARTS[: len(blocks)]
+        for (p0, count, omega_, phi), value, static in blocks:
+            alone = block(om_m2, curv, n, mass, head, q2, p0, count, omega_, phi)
+            assert (alone[0].item(), alone[1].item()) == (value, static)
+            head *= q2.item() ** count
+        counts.append(len(blocks))
+    assert (min(counts), max(counts)) == (4, 14)
+
+
+def test_centered_families_past_the_stop_share_a_level(monkeypatch):
+    # at h 4 cm, w0 5.5 cm and 1.2e6 rad/s the sum stops at N = 78, in the run
+    # of families 65-192, and families of that run past 78 fall short of their
+    # targets too: one level takes them all, so the sum makes 3 block calls
+    # (39 when each family's further blocks were calls of their own)
+    calls = _record_centered_blocks(monkeypatch)
+    geometry = solve_geometry(20.0, 0.04, FUSED_SILICA)
+    result = effective_susceptibility(geometry, BeamSpec(waist=0.055), 1.2e6)
+    assert len(result.per_n) == 78 and result.converged
+    assert len(calls) <= 3
 
 
 @given(
@@ -1339,7 +1427,7 @@ def test_n_max_is_a_ceiling(geo, waist, offset):
     assert len(res.per_n) < 200 and res.converged
     assert effective_susceptibility(geo, beam, policy=TruncationPolicy(n_max=400)) == res
     # a centered family's blocks, and a shelled one's shells, meet targets
-    # epsilon |total| / (2 n_max): there the two agree within their tails
+    # epsilon |R_n| / (2 n_max): there the two agree within their tails
     for b, omega in ((BeamSpec(waist=waist), 0.0), (BeamSpec(waist=waist), 3e5), (beam, 3e5), (beam, 1e6)):
         low, high = (effective_susceptibility(geo, b, omega, 1e-6, TruncationPolicy(n_max=n_max))
                      for n_max in (200, 400))
