@@ -59,8 +59,9 @@ class TruncationPolicy:
                the family loop stops at the first N whose n-tail error is at
                most epsilon / 2 of |value|; family n takes levels of blocks
                or shells until its tail is at most epsilon |R_n| / (2 n_max),
-               R_n the running total of the sums through n (centered: of
-               their first blocks of 64 terms, so no family waits on another)
+               R_n a running total through n (centered: of the first blocks
+               of 64 terms, so no family waits on another; off axis: of the
+               row's sums through the end of n's run, _family_runs)
     max_modes  hard budget of explicitly summed terms; exceeding it raises
                BudgetExceededError (off axis only the families summed by
                shells near a resonance sum any)
@@ -372,6 +373,19 @@ def _least_denominator(om_m2, curv, n, omega, phi):
     return s_least, np.hypot(w2 - om2, -w2 * phi).min(axis=0)
 
 
+def _centered_family(geometry, waist, n):
+    """(mass, c, q) of the centered families n, a float or an array: the
+    modal mass of family n, and the overlaps c q^p of its modes p with a beam
+    of the given waist."""
+    wn2, w02 = acoustic_waist_sq(geometry, n), waist * waist
+    mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
+    return mass, 2.0 * wn2 / (2.0 * wn2 + w02), (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+
+
+#: the most terms one _centered_block call forms: a larger level goes in chunks of rows
+_CENTERED_BLOCK_TERMS = 2**16
+
+
 def _centered_block(om_m2, curv, n, mass, ovl2_head, q2, p0, count, omega, phi):
     """Sums over p0 <= p < p0 + count of the terms of the families n at omega
     and at 0, with ovl2_head = c^2 q^(2 p0); per-family values are scalars
@@ -394,14 +408,14 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     per family: level 1 is every family's first 64 terms, each further level
     one block of the next 128, 256, ... (at most 8192) for the families whose
     tail misses its target (TruncationPolicy), so each row is == to summing
-    its family alone.  Each family also sums its terms at omega = 0 for the
+    its family alone; a level of more than _CENTERED_BLOCK_TERMS terms takes
+    its rows in chunks.  Each family also sums its terms at omega = 0 for the
     n-tail rule (_Families), which takes each run once.  A run ends before
     the first family that overruns the budget, or that the budget is
     unlikely to reach; the next run starts there, so a family that overruns
     comes first in its run, where the modes before it are known.
     """
     om_m2, curv = spectrum_constants(geometry)
-    w02 = beam.waist * beam.waist
     first = 64
     families = _Families(_n_tail_constant(geometry, beam.waist, 0.0), omega, phi, om_m2, policy)
     reference, used = 0.0, 0  # R_n and the modes used through the runs before
@@ -409,10 +423,7 @@ def _chi_centered(geometry, beam, omega, phi, policy):
     cap, lo, size = min(policy.n_max, policy.max_modes // first + 1), 0, _CENTERED_FIRST_RUN
     while True:
         n = np.arange(lo + 1.0, min(lo + size, cap) + 1.0)
-        wn2 = acoustic_waist_sq(geometry, n)
-        mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
-        c = 2.0 * wn2 / (2.0 * wn2 + w02)
-        q = (2.0 * wn2 - w02) / (2.0 * wn2 + w02)
+        mass, c, q = _centered_family(geometry, beam.waist, n)
         q2 = q * q
         head = c * c  # c^2 q^(2 p) at the head of each family's next block
         if omega > 0.0:
@@ -421,9 +432,12 @@ def _chi_centered(geometry, beam, omega, phi, policy):
         statics, tails, terms = np.zeros(len(n)), np.empty(len(n)), np.zeros(len(n), dtype=int)
         rows, p, count = slice(None), 0, first  # level 1 takes the families as a slice, not by index
         while True:
-            n_r, mass_r, q2_r = n[rows], mass[rows], q2[rows]
-            block, block_static = _centered_block(om_m2, curv, n_r[:, None], mass_r[:, None], head[rows][:, None],
-                                                  q2_r[:, None], p, count, omega, phi)
+            n_r, mass_r, head_r, q2_r = n[rows], mass[rows], head[rows], q2[rows]
+            step = max(1, _CENTERED_BLOCK_TERMS // count)
+            parts = [_centered_block(om_m2, curv, n_r[i : i + step, None], mass_r[i : i + step, None],
+                                     head_r[i : i + step, None], q2_r[i : i + step, None], p, count, omega, phi)
+                     for i in range(0, len(n_r), step)]
+            block, block_static = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             sums[rows] += block
             statics[rows] += block_static
             # Python's scalar pow: numpy's vector one can differ from it in the last bit
@@ -441,9 +455,11 @@ def _chi_centered(geometry, beam, omega, phi, policy):
             if p == first:
                 firsts = np.cumsum(np.concatenate(([reference], sums)))[1:]
                 target = policy.epsilon * np.hypot(firsts.real, firsts.imag) / (2.0 * policy.n_max)
-                # the run ends where the terms fit the budget no more, were each tail to decay as q^(2p)
-                need = modes + np.cumsum(np.log(np.minimum(target / tails, 1.0)) / np.log(q2))
-                end = max(1, int(need.searchsorted(policy.max_modes, "right")))
+                end = len(n)
+                if (tails > target).any():
+                    # the run ends where the terms fit the budget no more, were each tail to decay as q^(2p)
+                    need = modes + np.cumsum(np.log(np.minimum(target / tails, 1.0)) / np.log(q2))
+                    end = max(1, int(need.searchsorted(policy.max_modes, "right")))
             end = min(end, int(modes.searchsorted(policy.max_modes, "right")))  # a family that overruns: next run
             rows = (tails[:end] > target[:end]).nonzero()[0]
             if not len(rows):
@@ -471,9 +487,11 @@ _SUM_RULE_FLOOR = 1e-12
 def _offaxis_family(table, families, om_m2, curv, g1, omegas, phi, totals, policy):
     """Family n = families[0]'s (kept sum, tail bound, shell count) for each
     row of a frequency grid: its omegas, loss angles phi and running totals
-    over the lower families; g1 = G(1) is the sum of all its shell traces.
-    families are n and the higher families still to be summed by shells, the
-    columns that the table keeps when it grows.
+    (the families before n's run, the run's integrated families and its
+    shelled ones below n), to which a row's target epsilon |total + sum| /
+    (2 n_max) adds n's own sum; g1 = G(1) is the sum of all its shell traces.
+    families are n and the run's higher families still to be summed by
+    shells, the columns that the table keeps when it grows.
 
     The traces are non-negative, so a cut after shell S drops at most
 
@@ -569,10 +587,10 @@ def _family_integrals(beta, gap, x, a1, pieces, plain, moments):
     beam's offset: each piece forms the offset-free node arrays once, and a
     beam then costs one multiply, subtract, clamp and exp, and the matmuls.
     Moment 0 is summed row by row (einsum), so a family's value does not
-    depend on the families that share its pass: the zero-frequency sums take
-    their families in runs.  BLAS's matrix-vector product can round a row
-    differently by its place in the matrix, and serves the higher moments,
-    which are taken in one pass over all families.
+    depend on the families that share its pass, nor on the ceiling that
+    clips the last run.  BLAS's matrix-vector product serves the higher
+    moments; it can round a row differently by its place in the matrix, but
+    every call with one ceiling takes the same runs (_family_runs).
     """
     nodes, weights = _gauss_legendre()
     lo, hi, jac = ((np.zeros_like(beta), np.ones_like(beta), 1.0) if plain
@@ -676,29 +694,6 @@ def _taylor_sums(value, check, scale, shift, phi, rho, terms):
     return re_s * re - im_s * im, re_s * im + im_s * re, scale * np.sqrt(cos2) * err
 
 
-def _chi0_offsets(geometry, waist, offsets, policy):
-    """effective_susceptibility at omega = 0 of a beam of the given waist at
-    each offset (all > 0, beams on the mirror).  The families come in runs
-    (_family_runs), each run one quadrature pass for every beam whose sum has
-    not stopped yet: only x = 4 d^2 / (w0^2 + 2 w_n^2) depends on the offset,
-    so a pass forms the rest of each node's integrand once for all of them.
-    |I_8 - I_4|, the difference of the two rules (_offaxis_integrals), is each
-    family's error estimate.  Each result is == to its one-beam call."""
-    om_m2, curv = spectrum_constants(geometry)
-    beams = [BeamSpec(waist=waist, offset=d) for d in offsets]
-    sums = [_Families(_n_tail_constant(geometry, waist, d), 0.0, 0.0, om_m2, policy) for d in offsets]
-    todo = list(range(len(beams)))
-    for lo, hi in _family_runs(policy.n_max):
-        n = np.arange(lo + 1.0, hi + 1.0)
-        value, check, scale = _offaxis_integrals(geometry, [beams[b] for b in todo], om_m2, curv, n, 1)
-        for b, v, c in zip(todo, value[:, 0], check[:, 0]):
-            sums[b].take(scale * v, scale * v, scale * np.abs(v - c))
-        todo = [b for b in todo if sums[b].stop is None]
-        if not todo:
-            break
-    return [s.result(0.0, 0, policy) for s in sums]
-
-
 def _n_tail_past(geometry, beam, n):
     """The families past n at omega = 0 in closed form: _n_tail's midpoint,
     from family n's own sum chi_n.  Off axis that is its moment-0 integral
@@ -709,15 +704,11 @@ def _n_tail_past(geometry, beam, n):
     study's pool takes them."""
     om_m2, curv = spectrum_constants(geometry)
     if beam.offset > 0.0:
-        fam = np.array([float(n)])
-        beta, _, x, c0, gap = mehler_parameters(geometry, beam, fam)
-        value = _family_integrals(beta, gap, x[None], fam / curv, _GL_CHECK_PIECES, abs(beta.item()) < 1e-3, 1)
-        chi_n = (c0 / (om_m2 * curv * fam) * value[0, 0]).item()
+        _, (check,), scale = _offaxis_integrals(geometry, [beam], om_m2, curv, np.array([float(n)]), 1)
+        chi_n = (scale * check[0]).item()
     else:
-        wn2, w02 = acoustic_waist_sq(geometry, float(n)), beam.waist * beam.waist
-        mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
-        c2 = (2.0 * wn2 / (2.0 * wn2 + w02)) ** 2
-        q2 = ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)) ** 2
+        mass, c, q = _centered_family(geometry, beam.waist, float(n))
+        c2, q2 = c**2, q**2
         count = 10**6
         if q2 < 1.0:  # the terms past count add at most q^(2 count) / (1 - q^2) times the first
             count = 1 if q2 == 0.0 else min(int(math.log(2.0**-53 * (1.0 - q2)) / math.log(q2)) + 2, count)
@@ -727,8 +718,10 @@ def _n_tail_past(geometry, beam, n):
     return mid[0].item()
 
 
-def _chi_offaxis(geometry, beam, omegas, phis, policy):
-    """Modal sums for a displaced beam at each omega of a grid.
+def _chi_offaxis(geometry, waist, offsets, omegas, phis, policy):
+    """Modal sums for a displaced beam of the given waist at each offset (all
+    > 0, beams on the mirror) and each omega of a grid, at loss angles phis:
+    a result per (offset, omega), offsets outermost.
 
     Within a degenerate (n, 2p+l) shell the mass-normalized overlap-squared sum
     is basis independent, so it is evaluated in the separable Hermite-Gauss
@@ -736,93 +729,89 @@ def _chi_offaxis(geometry, beam, omegas, phis, policy):
     trace folds in the s//2 + 1 cosine modes that couple to an offset along x
     (sine modes vanish identically).
 
-    A family's whole shell sum is an integral of its traces' generating
-    function (_offaxis_integrals): at omega = 0 its moment M_0, and at each
+    The families come in runs (_family_runs), each one quadrature pass
+    (_offaxis_integrals) for the beams with a row still summing: only x = 4
+    d^2 / (w0^2 + 2 w_n^2) depends on the offset, so a pass forms the rest of
+    each node's integrand once for all of them, with the moments that the
+    run's rows need.  A family's whole shell sum is an integral of its
+    traces' generating function: at omega = 0 its moment M_0, and at each
     (omega, family) pair with rho = |delta| / a <= _TAYLOR_RHO a Taylor
     series in delta = omega^2 / (Omega_M^2 curv n (1 - i phi)) over the same
-    frequency-free moments (_taylor_sums).  No shell is summed there; the
-    error estimate is the quadrature's plus the bound on the series' cut.  The
-    pairs nearer a resonance (the low families at high omega, a run from
-    family 1 on, as rho falls with n) sum shell by shell from a
-    ShellTraceTable of those families alone, and modes_used counts these
-    shell summands; their per-family tail is the sum-rule bound of
-    _offaxis_family, and their tolerance refers to the whole row, the
-    integrated families included.  Families run outermost, so each family's
-    shell traces serve every omega; within a family the omegas are the rows
-    of one (omega x shell) array per level.  Each row stops at its own n-tail
-    (_Families), and a row that stops among the shelled families takes no
-    further shells.  A grid of omega = 0 alone is _chi0_offsets; any other
-    integrates all n_max families in one pass, whose M_0 serve the n-tails.
+    frequency-free moments (_taylor_sums), with |I_8 - I_4| plus the bound on
+    the series' cut as its error estimate.  The pairs nearer a resonance (a
+    row's lowest families) sum shell by shell (_offaxis_family) from a
+    ShellTraceTable of the run's shelled families, first in the run, each as
+    one (omega x shell) array per level; modes_used counts these shells, and
+    their tolerance refers to the row's running total through the end of the
+    run.  Each row stops at its own n-tail (_Families) and takes nothing past
+    it, so each result is == to its one-offset, one-omega call.
     """
     om_m2, curv = spectrum_constants(geometry)
-    rows = [k for k, omega in enumerate(omegas) if omega != 0.0]
-    if not rows:
-        return _chi0_offsets(geometry, beam.waist, [beam.offset], policy) * len(omegas)
-    n = np.arange(1.0, policy.n_max + 1.0)
-    om = np.array([omegas[k] for k in rows], dtype=float)
-    phi = np.array([phis[k] for k in rows], dtype=float)
-    # |delta| (1 + phi^2)^(1/2) and rho per (omega, family)
-    shift = (om * om)[:, None] / (om_m2 * curv * n)
-    rho = shift / (np.hypot(1.0, phi)[:, None] * (1.0 + n / curv))
-    taylor = rho <= _TAYLOR_RHO
-    # a pair's series has the fewest terms K >= 1 with rho^K / (1 - rho) <= _TAYLOR_TARGET
-    rho = np.clip(rho, np.finfo(float).tiny, _TAYLOR_RHO)
-    terms = np.where(taylor, np.ceil(np.log(_TAYLOR_TARGET * (1.0 - rho)) / np.log(rho)), 0.0)
-    moments = int(max(terms.max(initial=0.0), 1.0))
-    (value,), (check,), scale = _offaxis_integrals(geometry, [beam], om_m2, curv, n, moments)
-    k_inf = _n_tail_constant(geometry, beam.waist, beam.offset)
-    static = scale * value[0]
-    zero = None
-    if len(rows) < len(omegas):
-        zero = _Families(k_inf, 0.0, 0.0, om_m2, policy)
-        zero.take(static, static, scale * np.abs(value[0] - check[0]))
-        zero = zero.result(0.0, 0, policy)
-    results = [zero] * len(omegas)  # the omega > 0 rows are set below
-
-    per_n = np.zeros((len(rows), len(n)), dtype=complex)
-    errors = np.zeros((len(rows), len(n)))
-    if taylor.any():
-        per_n.real, per_n.imag, errors = _taylor_sums(value, check, scale, shift, phi, rho, terms)
-    totals = []
-    for r in range(len(rows)):
-        sel = taylor[r]
-        totals.append(complex(np.add.reduce(per_n.real[r][sel]).item(), np.add.reduce(per_n.imag[r][sel]).item()))
-    per_n = per_n.tolist()
-    modes = [0] * len(rows)
-    sums = [_Families(k_inf, omegas[k], phis[k], om_m2, policy) for k in rows]
-
-    shelled = np.flatnonzero(~taylor.all(axis=0)).tolist()
-    families = [col + 1 for col in shelled]
-    table = ShellTraceTable(geometry, beam, range(1, shelled[-1] + 2)) if shelled else None
-    beta, _, _, c0, gap = mehler_parameters(geometry, beam, n[shelled])
-    # G(1) = c0 / (1 - beta^2), the sum of a family's traces
-    for i, (col, g1) in enumerate(zip(shelled, (c0 / (gap * (1.0 + beta))).tolist())):
-        n_k = families[i]
-        sub = [r for r in np.flatnonzero(~taylor[:, col]).tolist() if sums[r].stop is None]
-        if not sub:
-            continue
-        found = _offaxis_family(table, families[i:], om_m2, curv, g1, om[sub], phi[sub], [totals[r] for r in sub],
-                                policy)
-        for r, (s_n, tail_n, count) in zip(sub, found):
-            # one summand per degenerate shell; each shell trace folds in
-            # its s//2 + 1 coupled cosine modes analytically
-            modes[r] += count
-            if modes[r] > policy.max_modes:
-                raise BudgetExceededError(
-                    f"mode budget {policy.max_modes} exhausted at n={n_k}",
-                    partial=_result(totals[r] + s_n, omegas[rows[r]], modes[r], math.inf, True, per_n[r][:col],
-                                    policy),
-                )
-            totals[r] += s_n
-            per_n[r][col] = s_n
-            sums[r].take(np.array([s_n]), static[col : col + 1], np.array([tail_n]))
-    for r, k in enumerate(rows):
-        # the rest of the row's families are integrated
-        lo = sums[r].count
-        if sums[r].stop is None:
-            sums[r].take(np.array(per_n[r][lo:]), static[lo:], errors[r][lo:])
-        results[k] = sums[r].result(omegas[k], modes[r], policy)
-    return results
+    beams = [BeamSpec(waist=waist, offset=d) for d in offsets]
+    sums = [[_Families(_n_tail_constant(geometry, waist, d), omega, phi, om_m2, policy)
+             for omega, phi in zip(omegas, phis)] for d in offsets]
+    modes = [[0] * len(omegas) for _ in offsets]
+    for lo, hi in _family_runs(policy.n_max):
+        todo = [b for b, beam_sums in enumerate(sums) if any(s.stop is None for s in beam_sums)]
+        if not todo:
+            break
+        n = np.arange(lo + 1.0, hi + 1.0)
+        # the omegas > 0 still summing
+        rows = [k for k, omega in enumerate(omegas) if omega > 0.0 and any(sums[b][k].stop is None for b in todo)]
+        moments = 1
+        if rows:
+            # |delta| (1 + phi^2)^(1/2) and rho per (omega, family)
+            om, phi = (np.array([a[k] for k in rows], dtype=float) for a in (omegas, phis))
+            shift = (om * om)[:, None] / (om_m2 * curv * n)
+            rho = shift / (np.hypot(1.0, phi)[:, None] * (1.0 + n / curv))
+            taylor = rho <= _TAYLOR_RHO
+            # a pair's series has the fewest terms K >= 1 with rho^K / (1 - rho) <= _TAYLOR_TARGET
+            rho = np.clip(rho, np.finfo(float).tiny, _TAYLOR_RHO)
+            terms = np.where(taylor, np.ceil(np.log(_TAYLOR_TARGET * (1.0 - rho)) / np.log(rho)), 0.0)
+            moments = int(max(terms.max(), 1.0))
+        value, check, scale = _offaxis_integrals(geometry, [beams[b] for b in todo], om_m2, curv, n, moments)
+        for b, v, c in zip(todo, value, check):
+            static = scale * v[0]
+            for k, row in enumerate(sums[b]):
+                if omegas[k] == 0.0 and row.stop is None:
+                    row.take(static, static, scale * np.abs(v[0] - c[0]))
+            live = [i for i, k in enumerate(rows) if sums[b][k].stop is None]
+            if not live:
+                continue
+            per_n = np.empty(shift.shape, dtype=complex)
+            per_n.real, per_n.imag, errors = _taylor_sums(v, c, scale, shift, phi, rho, terms)
+            totals = {i: complex(sums[b][rows[i]].head + per_n[i, taylor[i]].sum()) for i in live}
+            # the run's families that some row sums by shells: the first few, as rho falls with n
+            shelled = int((~taylor[live]).sum(axis=1).max())
+            table = ShellTraceTable(geometry, beams[b], range(lo + 1, lo + shelled + 1)) if shelled else None
+            beta, _, _, c0, gap = mehler_parameters(geometry, beams[b], n[:shelled])
+            # G(1) = c0 / (1 - beta^2), the sum of a family's traces
+            for col, g1 in enumerate((c0 / (gap * (1.0 + beta))).tolist()):
+                sub = [i for i in live if not taylor[i, col] and sums[b][rows[i]].stop is None]
+                if not sub:
+                    continue
+                found = _offaxis_family(table, range(lo + col + 1, lo + shelled + 1), om_m2, curv, g1, om[sub],
+                                        phi[sub], [totals[i] for i in sub], policy)
+                for i, (s_n, tail_n, count) in zip(sub, found):
+                    k = rows[i]
+                    # one summand per degenerate shell; each shell trace folds in
+                    # its s//2 + 1 coupled cosine modes analytically
+                    modes[b][k] += count
+                    if modes[b][k] > policy.max_modes:
+                        raise BudgetExceededError(
+                            f"mode budget {policy.max_modes} exhausted at n={lo + col + 1}",
+                            partial=_result(totals[i] + s_n, omegas[k], modes[b][k], math.inf, True,
+                                            sums[b][k].per_n(), policy),
+                        )
+                    totals[i] += s_n
+                    sums[b][k].take(np.array([s_n]), static[col : col + 1], np.array([tail_n]))
+            for i in live:
+                row = sums[b][rows[i]]
+                start = row.count - lo
+                if row.stop is None and start < len(n):  # the rest of the run is integrated
+                    row.take(per_n[i, start:], static[start:], errors[i, start:])
+    return [row.result(omega, used, policy)
+            for beam_sums, beam_modes in zip(sums, modes) for row, omega, used in zip(beam_sums, omegas, beam_modes)]
 
 
 def effective_susceptibility_grid(
@@ -843,7 +832,7 @@ def effective_susceptibility_grid(
     phis = [_loss_at(loss_angle, omega) if omega > 0 else 0.0 for omega in omegas]
     if beam.offset == 0.0:
         return [_chi_centered(geometry, beam, omega, phi, policy) for omega, phi in zip(omegas, phis)]
-    return _chi_offaxis(geometry, beam, omegas, phis, policy)
+    return _chi_offaxis(geometry, beam.waist, [beam.offset], omegas, phis, policy)
 
 
 def effective_susceptibility(

@@ -18,14 +18,15 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .geometry import Material, FUSED_SILICA, PlanoConvexGeometry, solve_geometry
-from .modes import acoustic_waist_sq, shell_frequency_sq, spectrum_constants
+from .modes import shell_frequency_sq, spectrum_constants
 from .overlap import BeamSpec, ShellTraceTable, check_beam_on_mirror
 from .susceptibility import (
     DEFAULT_POLICY,
     SHELL_CAP,
     SusceptibilityResult,
     TruncationPolicy,
-    _chi0_offsets,
+    _centered_family,
+    _chi_offaxis,
     _n_tail_past,
     check_count,
     effective_susceptibility,
@@ -132,11 +133,12 @@ def _sweep_point(spec: SweepSpec, value: float, geometry: PlanoConvexGeometry, b
 
 def _offset_sweep(spec: SweepSpec, values: list[float], points: list) -> list[SweepRow]:
     """An offset sweep's rows: d = 0 on the centered path, every other offset
-    from one _chi0_offsets call, whose quadrature passes serve them all."""
+    from one _chi_offaxis call at omega = 0, whose quadrature passes serve
+    them all."""
     start = time.perf_counter()
     offsets = [v for v in values if v != 0.0]
     geometry = points[0][0]  # one geometry for every offset
-    results = iter(_chi0_offsets(geometry, spec.waist, offsets, spec.policy))
+    results = iter(_chi_offaxis(geometry, spec.waist, offsets, [0.0], [0.0], spec.policy))
     seconds = (time.perf_counter() - start) / len(offsets)
     return [_sweep_point(spec, v, *point) if v == 0.0 else _row(v, geometry, next(results), seconds)
             for v, point in zip(values, points)]
@@ -185,13 +187,10 @@ def _centered_term_pool(geometry, beam, n_max, floor_rel=_POOL_FLOOR):
     family's values repeated along it, so many families are built at once.
     """
     om_m2, curv = spectrum_constants(geometry)
-    w02 = beam.waist * beam.waist
     n = np.arange(1, n_max + 1)
-    wn2 = acoustic_waist_sq(geometry, n.astype(float))
-    mass = (math.pi / 4.0) * geometry.material.density * geometry.thickness * wn2
-    c = 2.0 * wn2 / (2.0 * wn2 + w02)
+    mass, c, q = _centered_family(geometry, beam.waist, n.astype(float))
     # Python's scalar pow and log: numpy's vector ones can differ in the last bit
-    q2 = [q**2 for q in ((2.0 * wn2 - w02) / (2.0 * wn2 + w02)).tolist()]
+    q2 = [q_n**2 for q_n in q.tolist()]
     head = (c * c / (mass * shell_frequency_sq(om_m2, curv, n, 0.0))).tolist()
     floor = head[0] * floor_rel
     # p count from pure geometric decay (denominator growth only helps)

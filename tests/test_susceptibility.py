@@ -18,6 +18,7 @@ from mirnoise.susceptibility import (
     TruncationPolicy,
     _exp_e1,
     _family_integrals,
+    _family_runs,
     _gauss_legendre,
     _least_denominator,
     _n_tail,
@@ -1426,6 +1427,10 @@ def test_n_max_is_a_ceiling(geo, waist, offset):
     res = effective_susceptibility(geo, beam)
     assert len(res.per_n) < 200 and res.converged
     assert effective_susceptibility(geo, beam, policy=TruncationPolicy(n_max=400)) == res
+    # nor does its Taylor series at omega > 0, where no family is summed by shells
+    res = effective_susceptibility(geo, beam, 1e3, 1e-6)
+    assert len(res.per_n) < 200 and res.converged and res.modes_used == 0
+    assert effective_susceptibility(geo, beam, 1e3, 1e-6, TruncationPolicy(n_max=400)) == res
     # a centered family's blocks, and a shelled one's shells, meet targets
     # epsilon |R_n| / (2 n_max): there the two agree within their tails
     for b, omega in ((BeamSpec(waist=waist), 0.0), (BeamSpec(waist=waist), 3e5), (beam, 3e5), (beam, 1e6)):
@@ -1437,8 +1442,8 @@ def test_n_max_is_a_ceiling(geo, waist, offset):
 
 def test_family_runs_equal_one_pass(geo):
     # moment 0 of each family, and its check, do not depend on the families
-    # or beams that share the pass; at omega > 0 a grid integrates all
-    # n_max families in one pass, which serves its omega = 0 rows too
+    # or beams that share the pass; a grid's omega = 0 rows take it from the
+    # runs that also give its omega > 0 rows their higher moments
     om_m2, curv = spectrum_constants(geo)
     n = np.arange(1.0, 301.0)
     plain = math.sqrt(2.0 * acoustic_waist_sq(geo, 50.0))  # beta_50 = 0: both forms in one pass
@@ -1453,3 +1458,39 @@ def test_family_runs_equal_one_pass(geo):
         for d in (0.01, 0.1):
             beam = BeamSpec(waist=waist, offset=d)
             assert effective_susceptibility_grid(geo, beam, [0.0, 3e5], 1e-6)[0] == effective_susceptibility(geo, beam)
+
+
+def test_offaxis_cost_follows_the_stop(geo, monkeypatch):
+    # at a ceiling of 10^4 families a grid integrates its families run by run
+    # until every row has stopped: none past the end of the run that holds
+    # the largest N goes to the quadrature
+    import mirnoise.susceptibility as susceptibility
+
+    handed = []
+    integrals = susceptibility._offaxis_integrals
+    monkeypatch.setattr(susceptibility, "_offaxis_integrals", lambda *a: handed.append(a[4]) or integrals(*a))
+    beam = BeamSpec(waist=0.02, offset=0.05)
+    rows = effective_susceptibility_grid(geo, beam, [0.0, 1e3, 3e5, 1e6], 1e-6, TruncationPolicy(n_max=10**4))
+    assert all(row.converged for row in rows)
+    stop = max(len(row.per_n) for row in rows)
+    end = next(hi for _, hi in _family_runs(10**4) if hi >= stop)
+    assert end < 10**4 and max(n.max() for n in handed) <= end
+    assert sum(map(len, handed)) == end
+
+
+def test_centered_levels_bound_their_blocks(geo, monkeypatch):
+    # at w0 0.2 mm a level holds up to 737,280 terms (90 families of 8192);
+    # each is summed in chunks of rows, no call forming more than
+    # _CENTERED_BLOCK_TERMS terms, and every row is == to summing its level
+    # in one call
+    import mirnoise.susceptibility as susceptibility
+
+    limit = susceptibility._CENTERED_BLOCK_TERMS
+    calls = _record_centered_blocks(monkeypatch)
+    args = (geo, BeamSpec(waist=2e-4), 3e5, 1e-6, TruncationPolicy(n_max=2000, max_modes=10**8))
+    res = effective_susceptibility(*args)
+    assert max(len(call[0]) * call[5] for call in calls) <= limit
+    calls.clear()
+    monkeypatch.setattr(susceptibility, "_CENTERED_BLOCK_TERMS", 10**9)
+    assert effective_susceptibility(*args) == res
+    assert max(len(call[0]) * call[5] for call in calls) > 10 * limit

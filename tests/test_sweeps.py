@@ -9,7 +9,7 @@ from mirnoise import susceptibility, sweeps
 from mirnoise.geometry import FUSED_SILICA, solve_geometry
 from mirnoise.modes import acoustic_waist_sq, fundamental_frequency
 from mirnoise.overlap import BeamSpec, ShellTraceTable, mehler_parameters
-from mirnoise.susceptibility import TruncationPolicy, _chi0_offsets, effective_susceptibility
+from mirnoise.susceptibility import TruncationPolicy, _chi_offaxis, effective_susceptibility
 from mirnoise.sweeps import (
     CSV_HEADER,
     CompareReport,
@@ -102,7 +102,7 @@ def test_offset_sweep_rows_equal_single_point_calls(geo, waist, monkeypatch):
     monkeypatch.undo()
     offsets = [row.value for row in rows]
     assert offsets[0] == 0.0 and rows[0].modes_used > 0  # the centered path
-    batch = [None] + _chi0_offsets(geo, waist, offsets[1:], spec.policy)
+    batch = [None] + _chi_offaxis(geo, waist, offsets[1:], [0.0], [0.0], spec.policy)
     for row, d, res in zip(rows, offsets, batch):
         one = effective_susceptibility(*spec.operating_point(d), policy=spec.policy)
         if res is not None:
